@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke determinism cover fuzz-smoke lint live-smoke
+.PHONY: build test race bench bench-smoke determinism cover fuzz-smoke lint live-smoke perfbench-check
 
 # staticcheck is pinned so local runs and CI agree on findings; when the
 # binary is absent (offline sandboxes), lint still runs simlint + go vet
@@ -13,6 +13,13 @@ build:
 
 test:
 	go test ./...
+
+# perfbench-check vets and tests the host-time benchmark. perfbench/ is
+# a module of its own (it imports this one through a replace), so the
+# root go vet/go test ./... never reach its code or its tests.
+perfbench-check:
+	go -C perfbench vet .
+	go -C perfbench test .
 
 race:
 	go test -race ./...

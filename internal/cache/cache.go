@@ -226,25 +226,26 @@ func TTLSeconds(d time.Duration) uint32 {
 	return uint32((d + time.Second - 1) / time.Second)
 }
 
-// AnswerQuery builds the cached response for q (an A-record reply with
-// the entry's remaining TTL), or nil when the cache cannot answer. This
-// is the stub-cache fast path: a non-nil reply short-circuits the
-// upstream transport entirely.
-func (c *Cache) AnswerQuery(q *dnsmsg.Message) *dnsmsg.Message {
+// AnswerQuery builds the cached response for q in dst (an A-record reply
+// with the entry's remaining TTL, via dst.SetReply, so a reused dst
+// costs no allocation) and reports whether the cache could answer;
+// dst is untouched when it cannot. This is the stub-cache fast path: an
+// answer short-circuits the upstream transport entirely.
+func (c *Cache) AnswerQuery(q, dst *dnsmsg.Message) bool {
 	if len(q.Questions) == 0 {
-		return nil
+		return false
 	}
 	qu := q.Questions[0]
 	if qu.Type != dnsmsg.TypeA {
-		return nil
+		return false
 	}
 	ent, ok := c.Lookup(Key{Name: qu.Name, Type: qu.Type})
 	if !ok {
-		return nil
+		return false
 	}
-	resp := dnsmsg.Reply(*q)
-	resp.AnswerA(ent.Addr, TTLSeconds(ent.Remaining(c.now())))
-	return &resp
+	dst.SetReply(q)
+	dst.AnswerA(ent.Addr, TTLSeconds(ent.Remaining(c.now())))
+	return true
 }
 
 // StaleAdvertTTL is the TTL advertised on answers served past their
@@ -252,28 +253,28 @@ func (c *Cache) AnswerQuery(q *dnsmsg.Message) *dnsmsg.Message {
 // seconds so downstream caches re-ask promptly.
 const StaleAdvertTTL = 30 * time.Second
 
-// AnswerQueryStale builds a response for q from a fresh-or-stale entry
-// (LookupStale), or nil when none survives. Stale answers advertise
-// StaleAdvertTTL; fresh ones their true remaining lifetime.
-func (c *Cache) AnswerQueryStale(q *dnsmsg.Message) *dnsmsg.Message {
+// AnswerQueryStale is AnswerQuery from a fresh-or-stale entry
+// (LookupStale). Stale answers advertise StaleAdvertTTL; fresh ones
+// their true remaining lifetime.
+func (c *Cache) AnswerQueryStale(q, dst *dnsmsg.Message) bool {
 	if len(q.Questions) == 0 {
-		return nil
+		return false
 	}
 	qu := q.Questions[0]
 	if qu.Type != dnsmsg.TypeA {
-		return nil
+		return false
 	}
 	ent, ok := c.LookupStale(Key{Name: qu.Name, Type: qu.Type})
 	if !ok {
-		return nil
+		return false
 	}
 	ttl := StaleAdvertTTL
 	if rem := ent.Remaining(c.now()); rem > 0 {
 		ttl = rem
 	}
-	resp := dnsmsg.Reply(*q)
-	resp.AnswerA(ent.Addr, TTLSeconds(ttl))
-	return &resp
+	dst.SetReply(q)
+	dst.AnswerA(ent.Addr, TTLSeconds(ttl))
+	return true
 }
 
 // StoreResponse caches the first A answer of an upstream response,

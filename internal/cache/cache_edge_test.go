@@ -182,13 +182,12 @@ func TestStaleAnswerTTLCap(t *testing.T) {
 	c.Put(key(0), addr, 100*time.Second)
 
 	cl.t = 40 * time.Second
-	resp := c.AnswerQueryStale(&q)
-	if resp == nil || resp.Answers[0].TTL != 60 {
+	var resp dnsmsg.Message
+	if !c.AnswerQueryStale(&q, &resp) || resp.Answers[0].TTL != 60 {
 		t.Fatalf("fresh answer TTL: %+v", resp)
 	}
 	cl.t = 200 * time.Second
-	resp = c.AnswerQueryStale(&q)
-	if resp == nil || resp.Answers[0].TTL != uint32(StaleAdvertTTL/time.Second) {
+	if !c.AnswerQueryStale(&q, &resp) || len(resp.Answers) != 1 || resp.Answers[0].TTL != uint32(StaleAdvertTTL/time.Second) {
 		t.Fatalf("stale answer TTL not capped: %+v", resp)
 	}
 }

@@ -104,7 +104,8 @@ func TestAnswerQueryAndStoreResponse(t *testing.T) {
 	cl := &clock{}
 	c := New(cl.now, 0)
 	q := dnsmsg.NewQuery(7, "web.example", dnsmsg.TypeA)
-	if r := c.AnswerQuery(&q); r != nil {
+	var r dnsmsg.Message
+	if c.AnswerQuery(&q, &r) {
 		t.Fatal("cold cache answered")
 	}
 	resp := dnsmsg.Reply(q)
@@ -112,8 +113,7 @@ func TestAnswerQueryAndStoreResponse(t *testing.T) {
 	c.StoreResponse(&resp)
 	cl.t = 100 * time.Second
 	q2 := dnsmsg.NewQuery(8, "web.example", dnsmsg.TypeA)
-	r := c.AnswerQuery(&q2)
-	if r == nil {
+	if !c.AnswerQuery(&q2, &r) {
 		t.Fatal("warm cache did not answer")
 	}
 	if r.ID != 8 || len(r.Answers) != 1 || r.Answers[0].Addr != addr {
@@ -129,6 +129,25 @@ func TestAnswerQueryAndStoreResponse(t *testing.T) {
 	c.StoreResponse(&bad)
 	if c.Len() != before {
 		t.Error("SERVFAIL cached")
+	}
+}
+
+// TestAnswerQueryReusedZeroAlloc checks the stub-cache hit path: a
+// reply built into a reused Message costs no allocation.
+func TestAnswerQueryReusedZeroAlloc(t *testing.T) {
+	cl := &clock{}
+	c := New(cl.now, 0)
+	c.Put(Key{Name: "web.example", Type: dnsmsg.TypeA}, addr, time.Minute)
+	q := dnsmsg.NewQuery(7, "web.example", dnsmsg.TypeA)
+	var r dnsmsg.Message
+	if !c.AnswerQuery(&q, &r) {
+		t.Fatal("warm cache did not answer")
+	}
+	if n := testing.AllocsPerRun(200, func() { c.AnswerQuery(&q, &r) }); n != 0 {
+		t.Errorf("AnswerQuery into a reused reply: %v allocs, want 0", n)
+	}
+	if len(r.Questions) != 1 || len(r.Answers) != 1 || r.ID != 7 || r.UDPSize != q.UDPSize {
+		t.Errorf("reused reply = %+v", r)
 	}
 }
 

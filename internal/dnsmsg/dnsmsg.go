@@ -121,12 +121,24 @@ func NewQuery(id uint16, name string, t Type) Message {
 // Reply constructs a response skeleton for q (same ID and question,
 // response and recursion-available bits set).
 func Reply(q Message) Message {
-	return Message{
+	var r Message
+	r.SetReply(&q)
+	return r
+}
+
+// SetReply makes m the response skeleton Reply(*q) returns, reusing m's
+// section slices: a long-lived scratch Message builds replies without
+// allocating once its slices have grown.
+func (m *Message) SetReply(q *Message) {
+	*m = Message{
 		ID:                 q.ID,
 		Response:           true,
 		RecursionDesired:   q.RecursionDesired,
 		RecursionAvailable: true,
-		Questions:          append([]Question(nil), q.Questions...),
+		Questions:          append(m.Questions[:0], q.Questions...),
+		Answers:            m.Answers[:0],
+		Authorities:        m.Authorities[:0],
+		Additionals:        m.Additionals[:0],
 		UDPSize:            q.UDPSize,
 	}
 }
@@ -146,11 +158,14 @@ func (m *Message) Encode() []byte {
 
 // AppendEncode appends the wire encoding to dst and returns the extended
 // slice, reusing dst's capacity (servers lease dst from a byte pool).
+// It allocates only when dst must grow or a message carries more than
+// 24 distinct name suffixes.
+//
+//simlint:hotpath
 func (m *Message) AppendEncode(dst []byte) []byte {
 	var e encoder
 	e.buf = dst
 	e.base = len(dst) // compression offsets are message-relative
-	e.names = e.nameArr[:0]
 	var flags uint16
 	if m.Response {
 		flags |= 1 << 15
@@ -201,17 +216,20 @@ func (m *Message) AppendEncode(dst []byte) []byte {
 
 // nameOffset records where a name suffix was written, for compression.
 // A small linear table beats a map here: messages carry a handful of
-// names, and the table lives on the encoder's stack frame.
+// names. The first 24 entries live in a fixed array inside the encoder,
+// which stays on AppendEncode's stack frame because nothing in it points
+// back into itself; later entries spill to a heap slice.
 type nameOffset struct {
 	suffix string
 	off    int
 }
 
 type encoder struct {
-	buf     []byte
-	base    int // message start within buf
-	names   []nameOffset
-	nameArr [24]nameOffset
+	buf    []byte
+	base   int // message start within buf
+	nNames int // entries used in names
+	names  [24]nameOffset
+	spill  []nameOffset // entries past the first 24, in insertion order
 }
 
 func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
@@ -220,6 +238,8 @@ func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v
 // name encodes a domain name with compression against previously written
 // names. Suffixes are substrings of name, so recording them costs no
 // allocation.
+//
+//simlint:hotpath
 func (e *encoder) name(name string) {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
@@ -228,14 +248,17 @@ func (e *encoder) name(name string) {
 	}
 	for i := 0; i < len(name); {
 		suffix := name[i:]
-		for _, n := range e.names {
-			if n.suffix == suffix {
-				e.u16(0xc000 | uint16(n.off))
-				return
-			}
+		if off, ok := e.lookup(suffix); ok {
+			e.u16(0xc000 | uint16(off))
+			return
 		}
-		if len(e.buf)-e.base < 0x3fff {
-			e.names = append(e.names, nameOffset{suffix, len(e.buf) - e.base})
+		if off := len(e.buf) - e.base; off < 0x3fff {
+			if e.nNames < len(e.names) {
+				e.names[e.nNames] = nameOffset{suffix, off}
+				e.nNames++
+			} else {
+				e.spill = append(e.spill, nameOffset{suffix, off})
+			}
 		}
 		l := suffix
 		if j := strings.IndexByte(suffix, '.'); j >= 0 {
@@ -251,6 +274,21 @@ func (e *encoder) name(name string) {
 		e.buf = append(e.buf, l...)
 	}
 	e.buf = append(e.buf, 0)
+}
+
+// lookup returns the message offset of an already written suffix.
+func (e *encoder) lookup(suffix string) (int, bool) {
+	for _, n := range e.names[:e.nNames] {
+		if n.suffix == suffix {
+			return n.off, true
+		}
+	}
+	for _, n := range e.spill {
+		if n.suffix == suffix {
+			return n.off, true
+		}
+	}
+	return 0, false
 }
 
 func (e *encoder) resource(r *Resource) {
@@ -278,18 +316,56 @@ func (e *encoder) resource(r *Resource) {
 	binary.BigEndian.PutUint16(e.buf[lenAt:], uint16(len(e.buf)-start))
 }
 
-// Decode parses a wire-format message.
+// Decode parses a wire-format message into a new Message. The Message
+// shares one allocation with inline backing arrays for one question and,
+// when the header announces answers, one answer (a query does not pay
+// for an unused answer slot), so a typical query or answer costs that
+// allocation plus its name strings.
 func Decode(b []byte) (*Message, error) {
+	var m *Message
+	if len(b) >= 8 && binary.BigEndian.Uint16(b[6:]) > 0 {
+		a := new(struct {
+			m  Message
+			q  [1]Question
+			an [1]Resource
+		})
+		a.m.Questions, a.m.Answers = a.q[:0], a.an[:0]
+		m = &a.m
+	} else {
+		a := new(struct {
+			m Message
+			q [1]Question
+		})
+		a.m.Questions = a.q[:0]
+		m = &a.m
+	}
+	if err := m.Unpack(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Unpack decodes the wire-format message b into m, overwriting every
+// field. Section slices reuse m's backing arrays, so unpacking into one
+// long-lived Message allocates only the decoded name strings (and the
+// Data of records with opaque payloads). A section that decodes no
+// record is nil, as in a Message from Decode. Nothing in m aliases b.
+// On error m holds a partial decode.
+//
+//simlint:hotpath
+func (m *Message) Unpack(b []byte) error {
 	d := decoder{buf: b}
-	m := &Message{}
+	qs := m.Questions[:0]
+	secs := [3][]Resource{m.Answers[:0], m.Authorities[:0], m.Additionals[:0]}
+	*m = Message{}
 	id, err := d.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.ID = id
 	flags, err := d.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Response = flags&(1<<15) != 0
 	m.OpCode = uint8(flags >> 11 & 0xf)
@@ -302,45 +378,66 @@ func Decode(b []byte) (*Message, error) {
 	var counts [4]uint16
 	for i := range counts {
 		if counts[i], err = d.u16(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := 0; i < int(counts[0]); i++ {
 		var q Question
 		if q.Name, err = d.name(); err != nil {
-			return nil, err
+			return err
 		}
 		t, err := d.u16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c, err := d.u16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		q.Type, q.Class = Type(t), Class(c)
-		m.Questions = append(m.Questions, q)
+		qs = append(qs, q)
 	}
-	secs := []*[]Resource{&m.Answers, &m.Authorities, &m.Additionals}
-	for si, sec := range secs {
+	for si := range secs {
 		for i := 0; i < int(counts[si+1]); i++ {
 			r, err := d.resource()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if r.Type == TypeOPT {
 				m.UDPSize = uint16(r.Class)
 				continue
 			}
-			*sec = append(*sec, r)
+			secs[si] = append(secs[si], r)
 		}
 	}
-	return m, nil
+	m.Questions = orNil(qs)
+	m.Answers, m.Authorities, m.Additionals = orNil(secs[0]), orNil(secs[1]), orNil(secs[2])
+	return nil
+}
+
+// orNil returns nil for an empty section, so a reused Message compares
+// equal (reflect.DeepEqual) to a freshly decoded one.
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 type decoder struct {
 	buf []byte
 	off int
+	// seen remembers the first few names decoded, by the offset their
+	// encoding starts at, so a compression pointer to one of them (an
+	// answer's 0xc00c pointing at the question) returns the same string
+	// instead of building a second copy.
+	seen  [4]seenName
+	nSeen int
+}
+
+type seenName struct {
+	off  int
+	name string
 }
 
 func (d *decoder) u16() (uint16, error) {
@@ -373,12 +470,14 @@ func (d *decoder) name() (string, error) {
 // nameAt decodes a possibly compressed name starting at off. It returns
 // the name and the offset just past the name's first encoding. Labels
 // accumulate in a stack buffer (names are at most 255 bytes on the wire)
-// so the only allocation is the returned string; compression pointers
-// are followed iteratively and must point strictly backwards, which
-// bounds the walk without a depth counter.
+// so the only allocation is the returned string, and none when the name
+// is a pointer to a name already decoded; compression pointers are
+// followed iteratively and must point strictly backwards, which bounds
+// the walk without a depth counter.
 func (d *decoder) nameAt(off int) (string, int, error) {
 	var arr [256]byte
 	b := arr[:0]
+	start := off
 	end := -1 // offset just past the first encoding, once known
 	for {
 		if off >= len(d.buf) {
@@ -394,7 +493,9 @@ func (d *decoder) nameAt(off int) (string, int, error) {
 			if len(b) == 0 {
 				return ".", end, nil
 			}
-			return string(b), end, nil
+			s := string(b)
+			d.remember(start, s)
+			return s, end, nil
 		case l&0xc0 == 0xc0:
 			if off+2 > len(d.buf) {
 				return "", 0, errShortMessage
@@ -405,6 +506,13 @@ func (d *decoder) nameAt(off int) (string, int, error) {
 			}
 			if end < 0 {
 				end = off + 2
+			}
+			if len(b) == 0 {
+				// Walking from ptr would rebuild the very name decoded
+				// there before: the buffer has not changed since.
+				if s, ok := d.recall(ptr); ok {
+					return s, end, nil
+				}
 			}
 			off = ptr
 		case l&0xc0 != 0:
@@ -424,6 +532,24 @@ func (d *decoder) nameAt(off int) (string, int, error) {
 			off += l
 		}
 	}
+}
+
+// remember records the name decoded from off while the table has room.
+func (d *decoder) remember(off int, name string) {
+	if d.nSeen < len(d.seen) {
+		d.seen[d.nSeen] = seenName{off, name}
+		d.nSeen++
+	}
+}
+
+// recall returns the name an earlier nameAt decoded from off.
+func (d *decoder) recall(off int) (string, bool) {
+	for _, n := range d.seen[:d.nSeen] {
+		if n.off == off {
+			return n.name, true
+		}
+	}
+	return "", false
 }
 
 func (d *decoder) resource() (Resource, error) {

@@ -46,12 +46,13 @@ func resourceRoundTrips(r *Resource) bool {
 	return true
 }
 
-// FuzzDecode checks three properties on arbitrary wire input: Decode
+// FuzzDecode checks four properties on arbitrary wire input: Decode
 // never panics (compression loops and truncations must surface as
-// errors), any message Decode accepts re-encodes to wire the decoder
-// accepts again with identical field content, and the encoding is a
-// fixed point (encode∘decode∘encode == encode), so compression cannot
-// oscillate.
+// errors), Unpack into a Message that already holds another decoded
+// message agrees with Decode (reuse leaks no stale field), any message
+// Decode accepts re-encodes to wire the decoder accepts again with
+// identical field content, and the encoding is a fixed point
+// (encode∘decode∘encode == encode), so compression cannot oscillate.
 func FuzzDecode(f *testing.F) {
 	// Well-formed messages exercising each encoder path.
 	q := NewQuery(0x1234, "dns.example.com", TypeA)
@@ -82,10 +83,25 @@ func FuzzDecode(f *testing.F) {
 		0, 1, 0, 1, // type A, class IN
 	})
 
+	// dirtyWire fills every field reuse could leak: records in all three
+	// sections, opaque Data, CNAME/NS targets, EDNS0 and header bits.
+	dirtyWire := r.Encode()
+
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m1, err := Decode(b)
+		var dirty Message
+		if derr := dirty.Unpack(dirtyWire); derr != nil {
+			t.Fatal(derr)
+		}
+		uerr := dirty.Unpack(b)
+		if (err == nil) != (uerr == nil) {
+			t.Fatalf("Decode error %v, Unpack error %v\ninput: %x", err, uerr, b)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(*m1, dirty) {
+			t.Fatalf("Unpack into a used Message differs from Decode:\ndecode: %+v\nunpack: %+v", *m1, dirty)
 		}
 		for i := range m1.Questions {
 			if !nameRoundTrips(m1.Questions[i].Name) {

@@ -166,6 +166,12 @@ type Proxy struct {
 	inflight   map[cache.Key]*flight
 	flightFree []*flight
 
+	// reply is the scratch Message locally built answers (stub-cache
+	// hits, serve-stale, REFUSED) are assembled in. send encodes it
+	// before anything can yield, so forward tasks never observe each
+	// other's reply, and its slices are reused from query to query.
+	reply dnsmsg.Message
+
 	hot          *cache.Hotness
 	prefetchOn   map[cache.Key]bool          // armed prefetch timers
 	lastSeen     map[cache.Key]time.Duration // last client demand per armed chain
@@ -319,9 +325,9 @@ func (p *Proxy) forward(d netapi.Packet) {
 	p.Queries++
 	if !p.allow(d.Src) {
 		p.Refused++
-		resp := dnsmsg.Reply(*q)
-		resp.RCode = dnsmsg.RCodeRefused
-		p.send(d.Src, &resp)
+		p.reply.SetReply(q)
+		p.reply.RCode = dnsmsg.RCodeRefused
+		p.send(d.Src, &p.reply)
 		return
 	}
 	key, hasKey := queryKey(q)
@@ -335,9 +341,9 @@ func (p *Proxy) forward(d netapi.Packet) {
 		}
 	}
 	if p.stub != nil {
-		if resp := p.stub.AnswerQuery(q); resp != nil {
+		if p.stub.AnswerQuery(q, &p.reply) {
 			p.StubHits++
-			p.send(d.Src, resp)
+			p.send(d.Src, &p.reply)
 			return
 		}
 	}
@@ -480,15 +486,12 @@ func (p *Proxy) answerStale(key cache.Key, src netip.AddrPort, id uint16) bool {
 		p.StaleAge.AddDuration(-rem)
 		p.scheduleRevalidate(key)
 	}
-	resp := dnsmsg.Message{
-		ID:                 id,
-		Response:           true,
-		RecursionDesired:   true,
-		RecursionAvailable: true,
-		Questions:          []dnsmsg.Question{{Name: key.Name, Type: key.Type, Class: dnsmsg.ClassIN}},
-	}
-	resp.AnswerA(ent.Addr, cache.TTLSeconds(ttl))
-	p.send(src, &resp)
+	// A stale answer echoes only the cached question, without EDNS0.
+	r := &p.reply
+	r.SetReply(&dnsmsg.Message{ID: id, RecursionDesired: true})
+	r.Questions = append(r.Questions, dnsmsg.Question{Name: key.Name, Type: key.Type, Class: dnsmsg.ClassIN})
+	r.AnswerA(ent.Addr, cache.TTLSeconds(ttl))
+	p.send(src, r)
 	return true
 }
 

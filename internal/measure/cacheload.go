@@ -174,6 +174,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		}
 	}()
 	var qid uint16
+	var reply dnsmsg.Message // stub-cache answers, reused across queries
 	for i := 0; i < cfg.Queries; i++ {
 		if i > 0 {
 			w.Sleep(cfg.QueryInterval)
@@ -183,7 +184,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)
 		s.Queries++
 		if stub != nil {
-			if resp := stub.AnswerQuery(&q); resp != nil {
+			if stub.AnswerQuery(&q, &reply) {
 				// Absorbed locally: an answered zero-cost cache hit.
 				s.StubHits++
 				s.OK++

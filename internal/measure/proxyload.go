@@ -285,6 +285,7 @@ func runProxyClient(w *sim.World, host *netem.Host, proxyAddr netip.AddrPort, na
 	queries, ok, refused, windowQ, windowOK *int, resolve *stats.Sketch) {
 	sock := host.Dial(netem.ProtoUDP, 8)
 	defer sock.Close()
+	var resp dnsmsg.Message // every response is unpacked into this one
 	for i, name := range names {
 		if i > 0 {
 			w.Sleep(cfg.QueryInterval)
@@ -308,7 +309,7 @@ func runProxyClient(w *sim.World, host *netem.Host, proxyAddr netip.AddrPort, na
 			if !alive {
 				break
 			}
-			resp, err := dnsmsg.Decode(d.Payload)
+			err := resp.Unpack(d.Payload)
 			sock.Pool().Put(d.Payload)
 			if err != nil || resp.ID != qid {
 				// A late answer to an earlier, timed-out round.

@@ -1,6 +1,7 @@
 package quic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -91,6 +92,7 @@ func spaceOf(t packetType) int {
 }
 
 type sentPacket struct {
+	pn           uint64
 	frames       []*frame
 	timeSent     time.Duration
 	ackEliciting bool
@@ -98,11 +100,13 @@ type sentPacket struct {
 
 type pnSpace struct {
 	nextPN    uint64
-	recvd     map[uint64]bool
-	largest   uint64
-	recvdAny  bool
+	recvd     recvRanges
 	ackQueued bool
-	sent      map[uint64]*sentPacket
+	// sent holds the packets awaiting acknowledgement in packet-number
+	// order (appendPacket assigns ascending numbers), so an ACK removes
+	// one contiguous run found by binary search: its cost follows the
+	// number of packets in flight, not the connection's age.
+	sent []sentPacket
 
 	cryptoOutOffset uint64
 	cryptoInNext    uint64
@@ -110,10 +114,70 @@ type pnSpace struct {
 	hsBuf           []byte
 }
 
+// pnRange is an inclusive run of packet numbers.
+type pnRange struct{ lo, hi uint64 }
+
+// recvRanges is the set of received packet numbers as ascending,
+// disjoint, non-adjacent ranges. It holds one range per gap in the
+// received sequence, and the range ending at the largest received
+// packet number is always last, so an ACK's first range is O(1).
+type recvRanges []pnRange
+
+// add records pn. Arrivals land at or near the top, so the insertion
+// point is searched from the end; out-of-order packets fill gaps and
+// merge neighbouring ranges.
+func (r *recvRanges) add(pn uint64) {
+	rs := *r
+	i := len(rs) // rs[:i] start at or below pn, rs[i:] above it
+	for i > 0 && rs[i-1].lo > pn {
+		i--
+	}
+	if i > 0 && pn <= rs[i-1].hi {
+		return // duplicate
+	}
+	joinPrev := i > 0 && rs[i-1].hi+1 == pn
+	joinNext := i < len(rs) && rs[i].lo == pn+1
+	switch {
+	case joinPrev && joinNext:
+		rs[i-1].hi = rs[i].hi
+		rs = slices.Delete(rs, i, i+1)
+	case joinPrev:
+		rs[i-1].hi = pn
+	case joinNext:
+		rs[i].lo = pn
+	default:
+		rs = slices.Insert(rs, i, pnRange{pn, pn})
+	}
+	*r = rs
+}
+
+// top returns the range holding the largest received packet number;
+// ok is false before anything was received.
+func (r recvRanges) top() (pnRange, bool) {
+	if len(r) == 0 {
+		return pnRange{}, false
+	}
+	return r[len(r)-1], true
+}
+
+// ackRange removes the outstanding packets an ACK range [low, high]
+// covers and returns the one numbered high when it was outstanding (the
+// RTT sample).
+func (sp *pnSpace) ackRange(low, high uint64) (largest sentPacket, ok bool) {
+	i, _ := slices.BinarySearchFunc(sp.sent, low, func(p sentPacket, pn uint64) int { return cmp.Compare(p.pn, pn) })
+	j := i
+	for j < len(sp.sent) && sp.sent[j].pn <= high {
+		j++
+	}
+	if j > i && sp.sent[j-1].pn == high {
+		largest, ok = sp.sent[j-1], true
+	}
+	sp.sent = slices.Delete(sp.sent, i, j)
+	return largest, ok
+}
+
 func newSpace() *pnSpace {
 	return &pnSpace{
-		recvd:         make(map[uint64]bool),
-		sent:          make(map[uint64]*sentPacket),
 		cryptoPending: make(map[uint64][]byte),
 	}
 }
@@ -609,7 +673,7 @@ func (c *Conn) appendPacket(dst []byte, space int, frames []*frame, pad int) []b
 			}
 		}
 	}
-	sp.sent[pn] = &sentPacket{frames: keep, timeSent: c.w.Now(), ackEliciting: ackEliciting}
+	sp.sent = append(sp.sent, sentPacket{pn: pn, frames: keep, timeSent: c.w.Now(), ackEliciting: ackEliciting})
 	if ackEliciting {
 		c.armPTO()
 	}
@@ -684,9 +748,6 @@ func (c *Conn) handleDatagram(d netem.Datagram) {
 
 var errVersionNegotiation = errors.New("quic: version negotiation required")
 
-// PTOTrace enables PTO diagnostics on stdout (debug aid).
-var PTOTrace = false
-
 // processPacket handles one packet. It reports false when the packet
 // could not be decrypted because its keys are not yet available (the
 // caller buffers such packets for retry).
@@ -727,11 +788,7 @@ func (c *Conn) processPacket(p packet, sealed, aad []byte) bool {
 	}
 
 	sp := c.spaces[space]
-	sp.recvd[p.pn] = true
-	if !sp.recvdAny || p.pn > sp.largest {
-		sp.largest = p.pn
-		sp.recvdAny = true
-	}
+	sp.recvd.add(p.pn)
 
 	if c.isClient && p.ptype == ptInitial && len(p.scid) > 0 {
 		// Adopt the server's connection ID.
@@ -808,30 +865,22 @@ func (c *Conn) handleFrame(space int, f *frame) {
 }
 
 func (c *Conn) processAck(space int, f *frame) {
-	sp := c.spaces[space]
 	low := uint64(0)
 	if f.firstRange < f.largestAcked {
 		low = f.largestAcked - f.firstRange
 	}
-	for pn := low; pn <= f.largestAcked; pn++ {
-		ent, ok := sp.sent[pn]
-		if !ok {
-			continue
+	if ent, ok := c.spaces[space].ackRange(low, f.largestAcked); ok && ent.ackEliciting {
+		sample := c.w.Now() - ent.timeSent
+		if c.srtt == 0 {
+			c.srtt = sample
+		} else {
+			c.srtt = (7*c.srtt + sample) / 8
 		}
-		if pn == f.largestAcked && ent.ackEliciting {
-			sample := c.w.Now() - ent.timeSent
-			if c.srtt == 0 {
-				c.srtt = sample
-			} else {
-				c.srtt = (7*c.srtt + sample) / 8
-			}
-			pto := 2*c.srtt + 30*time.Millisecond
-			if pto < minPTO {
-				pto = minPTO
-			}
-			c.pto = pto
+		pto := 2*c.srtt + 30*time.Millisecond
+		if pto < minPTO {
+			pto = minPTO
 		}
-		delete(sp.sent, pn)
+		c.pto = pto
 	}
 	c.ptoCount = 0
 	c.armPTO()
@@ -935,16 +984,13 @@ func (c *Conn) flushAcks() {
 		return
 	}
 	for i, sp := range c.spaces {
-		if !sp.ackQueued || !sp.recvdAny {
+		top, ok := sp.recvd.top()
+		if !sp.ackQueued || !ok {
 			continue
 		}
 		sp.ackQueued = false
 		// Contiguous range ending at the largest received.
-		run := uint64(0)
-		for sp.recvd[sp.largest-run-1] && sp.largest >= run+1 {
-			run++
-		}
-		c.sendInSpace(i, []*frame{{kind: frAck, largestAcked: sp.largest, firstRange: run}})
+		c.sendInSpace(i, []*frame{{kind: frAck, largestAcked: top.hi, firstRange: top.hi - top.lo}})
 	}
 }
 
@@ -958,8 +1004,8 @@ func (c *Conn) armPTO() {
 	}
 	outstanding := false
 	for _, sp := range c.spaces {
-		for _, ent := range sp.sent {
-			if ent.ackEliciting {
+		for i := range sp.sent {
+			if sp.sent[i].ackEliciting {
 				outstanding = true
 				break
 			}
@@ -977,9 +1023,6 @@ func (c *Conn) armPTO() {
 func (c *Conn) onPTO() {
 	if c.closed {
 		return
-	}
-	if PTOTrace {
-		fmt.Printf("PTO at %v client=%v count=%d pto=%v\n", c.w.Now(), c.isClient, c.ptoCount, c.pto)
 	}
 	ampBlocked := !c.isClient && !c.validated && len(c.ampQueue) > 0
 	if ampBlocked {
@@ -1017,8 +1060,7 @@ func (c *Conn) onPTO() {
 }
 
 // retransmitUnacked re-sends every unacked retransmittable frame across
-// all packet-number spaces, in deterministic packet-number order (map
-// iteration order must not leak into the wire image). Shared by the PTO
+// all packet-number spaces, in packet-number order. Shared by the PTO
 // probe and by path migration, which treats everything in flight toward
 // the retired path as lost (RFC 9000 §9.4) rather than waiting out a
 // probe timeout.
@@ -1026,16 +1068,12 @@ func (c *Conn) retransmitUnacked(from int) bool {
 	resent := false
 	for i := from; i < len(c.spaces); i++ {
 		sp := c.spaces[i]
-		pns := slices.Sorted(maps.Keys(sp.sent))
 		var resend []*frame
-		for _, pn := range pns {
-			ent := sp.sent[pn]
-			delete(sp.sent, pn)
-			if len(ent.frames) == 0 {
-				continue
-			}
+		for _, ent := range sp.sent {
 			resend = append(resend, ent.frames...)
 		}
+		clear(sp.sent)
+		sp.sent = sp.sent[:0]
 		if len(resend) > 0 {
 			c.sendInSpace(i, resend)
 			resent = true

@@ -166,7 +166,7 @@ func (l *Listener) handleOne(d netem.Datagram) {
 		if !ok {
 			return
 		}
-		if sp := conn.spaces[spcApp]; sp.recvdAny && p.pn <= sp.largest {
+		if top, ok := conn.spaces[spcApp].recvd.top(); ok && p.pn <= top.hi {
 			// A reordered straggler from a retired path must not rebind
 			// the connection backwards (RFC 9000 §9.3 only moves the
 			// path on the highest-numbered non-probing packet). Process
