@@ -1,8 +1,8 @@
 package repro
 
-// The benchmark harness: one benchmark per paper artifact (table,
-// figure, or ablation), each regenerating the artifact end to end on a
-// scaled-down but shape-preserving campaign. Run with:
+// The benchmark harness: one sub-benchmark per registered paper
+// artifact (table, figure, or ablation), each regenerating the artifact
+// end to end on a scaled-down but shape-preserving campaign. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -18,10 +18,7 @@ import (
 )
 
 // benchConfig keeps each iteration around a second on one core while
-// preserving the population distributions. Parallelism 1 pins the
-// serial baseline; the *Parallel variants below lift it to GOMAXPROCS
-// so the recorded benchmarks capture the serial->parallel speedup
-// trajectory (results are byte-identical either way).
+// preserving the population distributions.
 func benchConfig(seed int64) experiments.Config {
 	cfg := experiments.Default()
 	cfg.Seed = seed
@@ -32,105 +29,31 @@ func benchConfig(seed int64) experiments.Config {
 	cfg.ScanScale = 16
 	cfg.CacheQueries = 100
 	cfg.CacheNames = 150
-	cfg.Parallelism = 1
 	return cfg
 }
 
-func benchExperimentCfg(b *testing.B, id string, parallelism int) {
-	b.Helper()
+func benchExperiment(b *testing.B, e experiments.Experiment, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig(1000 + int64(i))
 		cfg.Parallelism = parallelism
-		r := experiments.NewRunner(cfg)
-		e, ok := experiments.ByID(id)
-		if !ok {
-			b.Fatalf("unknown experiment %s", id)
-		}
-		out, err := e.Run(r)
+		out, err := e.Run(experiments.NewRunner(cfg))
 		if err != nil {
-			b.Fatalf("%s: %v", id, err)
+			b.Fatalf("%s: %v", e.ID, err)
 		}
 		if len(out) == 0 {
-			b.Fatalf("%s produced no report", id)
+			b.Fatalf("%s produced no report", e.ID)
 		}
 	}
 }
 
-func benchExperiment(b *testing.B, id string) { benchExperimentCfg(b, id, 1) }
-
-// BenchmarkE1ScanFunnel regenerates the §2 discovery funnel
-// (1216 DoQ resolvers -> 313 verified, scaled).
-func BenchmarkE1ScanFunnel(b *testing.B) { benchExperiment(b, "E1") }
-
-// BenchmarkE2GeoDistribution regenerates Fig. 1 (continent and AS
-// distribution of the verified resolvers).
-func BenchmarkE2GeoDistribution(b *testing.B) { benchExperiment(b, "E2") }
-
-// BenchmarkE3VersionShares regenerates the §3 protocol version and
-// feature shares (QUIC v1 89.1%, doq-i02 87.4%, TLS 1.3 ~99%, ...).
-func BenchmarkE3VersionShares(b *testing.B) { benchExperiment(b, "E3") }
-
-// BenchmarkE4Table1Sizes regenerates Table 1 (median single-query sizes
-// and sample counts).
-func BenchmarkE4Table1Sizes(b *testing.B) { benchExperiment(b, "E4") }
-
-// BenchmarkE5Fig2aHandshake regenerates Fig. 2a (median handshake time
-// per protocol and vantage point).
-func BenchmarkE5Fig2aHandshake(b *testing.B) { benchExperiment(b, "E5") }
-
-// BenchmarkE6Fig2bResolve regenerates Fig. 2b (median resolve time per
-// protocol and vantage point).
-func BenchmarkE6Fig2bResolve(b *testing.B) { benchExperiment(b, "E6") }
-
-// BenchmarkE7Fig3aFCP regenerates Fig. 3a (CDF of relative FCP
-// differences against DoUDP).
-func BenchmarkE7Fig3aFCP(b *testing.B) { benchExperiment(b, "E7") }
-
-// BenchmarkE8Fig3bPLT regenerates Fig. 3b (CDF of relative PLT
-// differences against DoUDP).
-func BenchmarkE8Fig3bPLT(b *testing.B) { benchExperiment(b, "E8") }
-
-// BenchmarkE9Fig4Grid regenerates Fig. 4 (the vantage-by-page PLT grid
-// with DoQ as the baseline).
-func BenchmarkE9Fig4Grid(b *testing.B) { benchExperiment(b, "E9") }
-
-// BenchmarkE10NoResumption regenerates the §3.1 preliminary-work
-// comparison: handshakes without Session Resumption pay the
-// amplification-limit and Version Negotiation round trips.
-func BenchmarkE10NoResumption(b *testing.B) { benchExperiment(b, "E10") }
-
-// BenchmarkE11ZeroRTT regenerates the §4 future-work ablation: resolvers
-// supporting 0-RTT shift DoQ's total response time toward DoUDP's.
-func BenchmarkE11ZeroRTT(b *testing.B) { benchExperiment(b, "E11") }
-
-// BenchmarkE12DoTFix regenerates the §3.2 root-cause ablation: the DNS
-// proxy's DoT in-flight bug versus the authors' upstream fix.
-func BenchmarkE12DoTFix(b *testing.B) { benchExperiment(b, "E12") }
-
-// BenchmarkE16CacheWorkload regenerates the §4 caching artifact: the
-// resolver-cache hit-ratio grid over Zipf skew and TTL. Its aggregation
-// is streaming (stats.Sketch), so campaign memory stays fixed as the
-// query count grows — see BenchmarkZipfAggregation* in internal/measure
-// for the flat-B/op evidence.
-func BenchmarkE16CacheWorkload(b *testing.B) { benchExperiment(b, "E16") }
-
-// BenchmarkE17CachedSplit regenerates the cached-vs-uncached resolve
-// split on the lossless (resolver.NoLoss) baseline.
-func BenchmarkE17CachedSplit(b *testing.B) { benchExperiment(b, "E17") }
-
-// BenchmarkE18WarmWeb regenerates the PLT grid under a warm shared
-// stub cache.
-func BenchmarkE18WarmWeb(b *testing.B) { benchExperiment(b, "E18") }
-
-// BenchmarkE4Table1SizesParallel is BenchmarkE4Table1Sizes with the
-// single-query campaign sharded across GOMAXPROCS workers. The report
-// is byte-identical to the serial run; only wall time changes.
-func BenchmarkE4Table1SizesParallel(b *testing.B) {
-	benchExperimentCfg(b, "E4", runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkE9Fig4GridParallel is BenchmarkE9Fig4Grid with the web
-// page-load matrix sharded across GOMAXPROCS workers.
-func BenchmarkE9Fig4GridParallel(b *testing.B) {
-	benchExperimentCfg(b, "E9", runtime.GOMAXPROCS(0))
+// BenchmarkExperiments regenerates every experiment in the registry
+// twice: <ID> pins the campaign worker pool to one worker (the serial
+// baseline), and <ID>Parallel shards it across GOMAXPROCS workers. The
+// reports are byte-identical either way; cmd/bench records the
+// serial/parallel ratio as the experiment's parallel speedup.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) { benchExperiment(b, e, 1) })
+		b.Run(e.ID+"Parallel", func(b *testing.B) { benchExperiment(b, e, runtime.GOMAXPROCS(0)) })
+	}
 }

@@ -37,7 +37,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_op"`
 }
 
-// Suite is one full run of the 21-experiment suite with resource
+// Suite is one full run of the experiment suite with resource
 // telemetry: wall time, peak RSS, and the byte-pool lease counters (all
 // parsed from cmd/experiments' stderr).
 type Suite struct {
@@ -56,7 +56,8 @@ type Trajectory struct {
 	// root package) to its best run.
 	Benchmarks map[string]Result `json:"benchmarks"`
 	// ParallelSpeedup maps experiment id to serial-ns / parallel-ns for
-	// the benchmark pairs that exist in both forms (E4, E9).
+	// the benchmark pairs that exist in both forms (every registered
+	// experiment: BenchmarkExperiments/<ID> and <ID>Parallel).
 	ParallelSpeedup map[string]float64 `json:"parallel_speedup"`
 	// Suite holds the resource telemetry of one full experiment-suite
 	// run (omitted when -suite is disabled or the run fails).
@@ -65,7 +66,7 @@ type Trajectory struct {
 
 var (
 	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op(?:\s+(\S+) B/op)?(?:\s+(\S+) allocs/op)?`)
-	expID     = regexp.MustCompile(`^(E\d+)`)
+	expID     = regexp.MustCompile(`(?:^|/)(E\d+)$`)
 	suiteLine = regexp.MustCompile(`(\d+) experiments in ([0-9.]+)s`)
 	poolLine  = regexp.MustCompile(`bytepool (\d+) hits (\d+) misses(?:; peak rss (\d+) KB)?`)
 )
@@ -163,7 +164,7 @@ func main() {
 		if !ok || par.NsPerOp == 0 {
 			continue
 		}
-		// "E4Table1Sizes" -> "E4"
+		// "Experiments/E4" -> "E4"
 		id := name
 		if m := expID.FindStringSubmatch(name); m != nil {
 			id = m[1]

@@ -1,11 +1,9 @@
-// Command experiments regenerates every table and figure of the paper,
-// plus the DoH3 sixth-transport artifacts E13–E15, the caching /
-// Zipf-workload artifacts E16–E18, the dynamic-link-model artifacts
-// E19–E21 (access-network grids and Gilbert–Elliott burst loss), and
-// the proxy serving-semantics artifacts E22–E24 (coalescing,
-// serve-stale, prefetch; see DESIGN.md §4 for the experiment index). By
-// default it runs all twenty-four experiments at a fast,
-// shape-preserving scale; -full uses the paper's population sizes.
+// Command experiments regenerates every table and figure of the paper
+// plus the beyond-paper extensions (DoH3, caching, link model, proxy
+// serving semantics, hostile networks). `experiments -list` prints the
+// registry; DESIGN.md §4 indexes it. By default it runs every registered
+// experiment at a fast, shape-preserving scale; -full uses the paper's
+// population sizes.
 //
 // Campaigns execute as sharded parallel campaigns: -parallel N sizes the
 // worker pool (default GOMAXPROCS). Parallelism scales wall time only —

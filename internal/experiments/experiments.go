@@ -23,7 +23,6 @@ import (
 	"repro/internal/resolver"
 	"repro/internal/scan"
 	"repro/internal/stats"
-	"repro/internal/tlsmini"
 )
 
 // Config scales the campaigns. The defaults run every experiment in a
@@ -104,38 +103,40 @@ type Experiment struct {
 
 // Runner caches campaign results so experiments sharing a workload (E3
 // through E6 all consume the single-query campaign, E1 and E2 the scan)
-// run it once. A Runner is safe for concurrent use by RunAll: the first
-// caller of a campaign computes it while later callers wait for the
-// cached result. Each cached campaign has its own lock so the three
-// independent campaigns (scan, single-query, web) can overlap.
+// run it once. A Runner is safe for concurrent use by RunAll: each
+// cached campaign is a once, so the independent campaigns (scan,
+// single-query, web, ...) can overlap.
 type Runner struct {
 	Cfg Config
 
-	sqMu      sync.Mutex
-	sq        []measure.SingleQuerySample
-	sqDone    bool
-	webMu     sync.Mutex
-	web       []measure.WebSample
-	webDone   bool
-	scanMu    sync.Mutex
-	scan      scan.FunnelResult
-	scanDone  bool
-	sqH3Mu    sync.Mutex
-	sqH3      []measure.SingleQuerySample
-	sqH3Done  bool
-	webH3Mu   sync.Mutex
-	webH3     []measure.WebSample
-	webH3Done bool
+	sq, sqH3, burst once[[]measure.SingleQuerySample]
+	web, webH3      once[[]measure.WebSample]
+	funnel          once[scan.FunnelResult]
+	access          once[[]measure.AccessGridCell]
+	accessWeb       once[[]measure.AccessWebGridCell]
+}
 
-	accessMu      sync.Mutex
-	access        []measure.AccessGridCell
-	accessDone    bool
-	accessWebMu   sync.Mutex
-	accessWeb     []measure.AccessWebGridCell
-	accessWebDone bool
-	burstMu       sync.Mutex
-	burst         []measure.SingleQuerySample
-	burstDone     bool
+// once memoizes one campaign. The first caller of get runs it while
+// later callers wait for the cached result; a failed run goes back to
+// its caller uncached, so the next caller runs the campaign again.
+type once[T any] struct {
+	mu   sync.Mutex
+	val  T
+	done bool
+}
+
+func (o *once[T]) get(run func() (T, error)) (T, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.done {
+		v, err := run()
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		o.val, o.done = v, true
+	}
+	return o.val, nil
 }
 
 // NewRunner creates a Runner for cfg.
@@ -150,53 +151,46 @@ func (r *Runner) blueprint(seedOffset int64, resolvers int, mutate func(*resolve
 	})
 }
 
-// SingleQuery runs (once) the default single-query campaign, sharded
-// across the worker pool.
-func (r *Runner) SingleQuery() ([]measure.SingleQuerySample, error) {
-	r.sqMu.Lock()
-	defer r.sqMu.Unlock()
-	if r.sqDone {
-		return r.sq, nil
-	}
-	bp, err := r.blueprint(0, r.Cfg.Resolvers, nil)
+// singleQuery runs one single-query campaign of protos (nil = all five
+// paper transports) over a fresh blueprint at seedOffset.
+func (r *Runner) singleQuery(seedOffset int64, protos []dox.Protocol) ([]measure.SingleQuerySample, error) {
+	bp, err := r.blueprint(seedOffset, r.Cfg.Resolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.sq, err = measure.RunSingleQuery(measure.SingleQueryConfig{
+	return measure.RunSingleQuery(measure.SingleQueryConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
 		Rounds:      r.Cfg.Rounds,
+		Protocols:   protos,
 	})
+}
+
+// runWeb runs one web campaign over a fresh blueprint at seedOffset:
+// wc carries the campaign's own fields, runWeb fills in the blueprint,
+// the worker pool, the page list and the load count.
+func (r *Runner) runWeb(seedOffset int64, wc measure.WebConfig) ([]measure.WebSample, error) {
+	bp, err := r.blueprint(seedOffset, r.Cfg.WebResolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.sqDone = true
-	return r.sq, nil
+	wc.Blueprint = bp
+	wc.Parallelism = r.Cfg.Parallelism
+	wc.Pages = pages.Top10()[:r.Cfg.WebPages]
+	wc.Loads = r.Cfg.WebLoads
+	return measure.RunWeb(wc)
+}
+
+// SingleQuery runs (once) the default single-query campaign, sharded
+// across the worker pool.
+func (r *Runner) SingleQuery() ([]measure.SingleQuerySample, error) {
+	return r.sq.get(func() ([]measure.SingleQuerySample, error) { return r.singleQuery(0, nil) })
 }
 
 // Web runs (once) the default web campaign, sharded across the worker
 // pool.
 func (r *Runner) Web() ([]measure.WebSample, error) {
-	r.webMu.Lock()
-	defer r.webMu.Unlock()
-	if r.webDone {
-		return r.web, nil
-	}
-	bp, err := r.blueprint(1, r.Cfg.WebResolvers, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.web, err = measure.RunWeb(measure.WebConfig{
-		Blueprint:   bp,
-		Parallelism: r.Cfg.Parallelism,
-		Pages:       pages.Top10()[:r.Cfg.WebPages],
-		Loads:       r.Cfg.WebLoads,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.webDone = true
-	return r.web, nil
+	return r.web.get(func() ([]measure.WebSample, error) { return r.runWeb(1, measure.WebConfig{}) })
 }
 
 // doh3Protocols is the sixth-transport comparison set of E13–E15: the
@@ -206,51 +200,14 @@ var doh3Protocols = []dox.Protocol{dox.DoQ, dox.DoH, dox.DoH3}
 // SingleQueryDoH3 runs (once) the sixth-transport single-query campaign
 // consumed by E13 and E14: DoQ, DoH and DoH3 over a fresh blueprint.
 func (r *Runner) SingleQueryDoH3() ([]measure.SingleQuerySample, error) {
-	r.sqH3Mu.Lock()
-	defer r.sqH3Mu.Unlock()
-	if r.sqH3Done {
-		return r.sqH3, nil
-	}
-	bp, err := r.blueprint(50, r.Cfg.Resolvers, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.sqH3, err = measure.RunSingleQuery(measure.SingleQueryConfig{
-		Blueprint:   bp,
-		Parallelism: r.Cfg.Parallelism,
-		Rounds:      r.Cfg.Rounds,
-		Protocols:   doh3Protocols,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.sqH3Done = true
-	return r.sqH3, nil
+	return r.sqH3.get(func() ([]measure.SingleQuerySample, error) { return r.singleQuery(50, doh3Protocols) })
 }
 
 // WebDoH3 runs (once) the sixth-transport web campaign consumed by E15.
 func (r *Runner) WebDoH3() ([]measure.WebSample, error) {
-	r.webH3Mu.Lock()
-	defer r.webH3Mu.Unlock()
-	if r.webH3Done {
-		return r.webH3, nil
-	}
-	bp, err := r.blueprint(60, r.Cfg.WebResolvers, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.webH3, err = measure.RunWeb(measure.WebConfig{
-		Blueprint:   bp,
-		Parallelism: r.Cfg.Parallelism,
-		Protocols:   doh3Protocols,
-		Pages:       pages.Top10()[:r.Cfg.WebPages],
-		Loads:       r.Cfg.WebLoads,
+	return r.webH3.get(func() ([]measure.WebSample, error) {
+		return r.runWeb(60, measure.WebConfig{Protocols: doh3Protocols})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.webH3Done = true
-	return r.webH3, nil
 }
 
 // All returns the registry in paper order.
@@ -352,28 +309,18 @@ func RunAllFunc(r *Runner, exps []Experiment, parallelism int, emit func(Result)
 // --- E1 / E2: scan ---
 
 // runScan runs (once) the sharded discovery funnel.
-func (r *Runner) runScan() (scan.FunnelResult, scan.PopulationSpec, error) {
-	spec := scan.PaperSpec().Scaled(r.Cfg.ScanScale)
-	r.scanMu.Lock()
-	defer r.scanMu.Unlock()
-	if r.scanDone {
-		return r.scan, spec, nil
-	}
-	res, err := scan.RunFunnel(scan.FunnelConfig{
-		Seed:        r.Cfg.Seed + 10,
-		Spec:        spec,
-		Parallelism: r.Cfg.Parallelism,
+func (r *Runner) runScan() (scan.FunnelResult, error) {
+	return r.funnel.get(func() (scan.FunnelResult, error) {
+		return scan.RunFunnel(scan.FunnelConfig{
+			Seed:        r.Cfg.Seed + 10,
+			Spec:        scan.PaperSpec().Scaled(r.Cfg.ScanScale),
+			Parallelism: r.Cfg.Parallelism,
+		})
 	})
-	if err != nil {
-		return scan.FunnelResult{}, spec, err
-	}
-	r.scan = res
-	r.scanDone = true
-	return res, spec, nil
 }
 
 func runE1(r *Runner) (string, error) {
-	res, spec, err := r.runScan()
+	res, err := r.runScan()
 	if err != nil {
 		return "", err
 	}
@@ -391,12 +338,11 @@ func runE1(r *Runner) (string, error) {
 	t.Add("  + DoH", fmt.Sprint(res.Support[dox.DoH]), scale(732), "732")
 	t.Add("  + DoH3 (beyond paper)", fmt.Sprint(res.Support[dox.DoH3]), "-", "-")
 	t.Add("verified DoX resolvers", fmt.Sprint(res.Verified), scale(313), "313")
-	_ = spec
 	return t.String(), nil
 }
 
 func runE2(r *Runner) (string, error) {
-	res, _, err := r.runScan()
+	res, err := r.runScan()
 	if err != nil {
 		return "", err
 	}
@@ -481,22 +427,22 @@ func runE3(r *Runner) (string, error) {
 
 // --- E4: Table 1 ---
 
-func runE4(r *Runner) (string, error) {
-	samples, err := r.SingleQuery()
-	if err != nil {
-		return "", err
+// byteSizes holds one protocol's per-sample Table 1 byte counts.
+type byteSizes struct{ total, hsUp, hsDown, q, resp []float64 }
+
+// sizeTable renders Table 1 for protos: one row of per-protocol median
+// byte counts per byteSizes field, then the OK sample counts. Each row ends
+// with the paper's figure from paper (byte rows first, sample row
+// last) under paperHeader. It also returns the per-protocol sizes.
+func sizeTable(samples []measure.SingleQuerySample, protos []dox.Protocol, title, paperHeader string, paper [6]string) (*report.Table, map[dox.Protocol]*byteSizes) {
+	per := map[dox.Protocol]*byteSizes{}
+	for _, p := range protos {
+		per[p] = &byteSizes{}
 	}
-	type sizes struct{ total, hsUp, hsDown, q, resp, n []float64 }
-	per := map[dox.Protocol]*sizes{}
-	for _, p := range dox.Protocols {
-		per[p] = &sizes{}
-	}
-	counts := map[dox.Protocol]int{}
 	for _, s := range samples {
 		if !s.OK {
 			continue
 		}
-		counts[s.Protocol]++
 		z := per[s.Protocol]
 		z.hsUp = append(z.hsUp, float64(s.M.HandshakeTx))
 		z.hsDown = append(z.hsDown, float64(s.M.HandshakeRx))
@@ -504,29 +450,43 @@ func runE4(r *Runner) (string, error) {
 		z.resp = append(z.resp, float64(s.M.QueryRx))
 		z.total = append(z.total, float64(s.M.HandshakeTx+s.M.HandshakeRx+s.M.QueryTx+s.M.QueryRx))
 	}
-	t := &report.Table{
-		Title:  "E4 — Table 1: median single-query sizes (bytes of IP payload)",
-		Header: []string{"row", "DoUDP", "DoTCP", "DoQ", "DoH", "DoT", "paper(DoQ/DoH/DoT)"},
+	header := []string{"row"}
+	for _, p := range protos {
+		header = append(header, p.String())
 	}
-	row := func(name string, f func(*sizes) []float64, paper string) {
-		cells := []string{name}
-		for _, p := range dox.Protocols {
-			cells = append(cells, fmt.Sprintf("%.0f", stats.Median(f(per[p]))))
+	t := &report.Table{Title: title, Header: append(header, paperHeader)}
+	rows := []struct {
+		name string
+		f    func(*byteSizes) []float64
+	}{
+		{"Total", func(z *byteSizes) []float64 { return z.total }},
+		{"Handshake C->R", func(z *byteSizes) []float64 { return z.hsUp }},
+		{"Handshake R->C", func(z *byteSizes) []float64 { return z.hsDown }},
+		{"DNS Query", func(z *byteSizes) []float64 { return z.q }},
+		{"DNS Response", func(z *byteSizes) []float64 { return z.resp }},
+	}
+	for i, row := range rows {
+		cells := []string{row.name}
+		for _, p := range protos {
+			cells = append(cells, fmt.Sprintf("%.0f", stats.Median(row.f(per[p]))))
 		}
-		cells = append(cells, paper)
-		t.Add(cells...)
+		t.Add(append(cells, paper[i])...)
 	}
-	row("Total", func(z *sizes) []float64 { return z.total }, "4444/2163/1522")
-	row("Handshake C->R", func(z *sizes) []float64 { return z.hsUp }, "2564/569/551")
-	row("Handshake R->C", func(z *sizes) []float64 { return z.hsDown }, "1304/211/211")
-	row("DNS Query", func(z *sizes) []float64 { return z.q }, "190/579/261")
-	row("DNS Response", func(z *sizes) []float64 { return z.resp }, "386/804/499")
-	sampleRow := []string{"Samples OK"}
-	for _, p := range dox.Protocols {
-		sampleRow = append(sampleRow, fmt.Sprint(counts[p]))
+	cells := []string{"Samples OK"}
+	for _, p := range protos {
+		cells = append(cells, fmt.Sprint(len(per[p].total)))
 	}
-	sampleRow = append(sampleRow, "~155-160k each (paper)")
-	t.Add(sampleRow...)
+	t.Add(append(cells, paper[len(rows)])...)
+	return t, per
+}
+
+func runE4(r *Runner) (string, error) {
+	samples, err := r.SingleQuery()
+	if err != nil {
+		return "", err
+	}
+	t, _ := sizeTable(samples, dox.Protocols, "E4 — Table 1: median single-query sizes (bytes of IP payload)", "paper(DoQ/DoH/DoT)",
+		[6]string{"4444/2163/1522", "2564/569/551", "1304/211/211", "190/579/261", "386/804/499", "~155-160k each (paper)"})
 	return t.String(), nil
 }
 
@@ -576,8 +536,7 @@ func runE5(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := fig2Matrix(samples, "E5 — Fig. 2a: median handshake time (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Handshake }, dox.Protocols, true)
+	s := fig2Matrix(samples, "E5 — Fig. 2a: median handshake time (ms)", handshake, dox.Protocols, true)
 	return s + "paper Total row: DoTCP 183.2, DoQ 186.7, DoH 375.8, DoT 376.6\n", nil
 }
 
@@ -586,51 +545,139 @@ func runE6(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := fig2Matrix(samples, "E6 — Fig. 2b: median resolve time (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Resolve }, dox.Protocols, false)
+	s := fig2Matrix(samples, "E6 — Fig. 2b: median resolve time (ms)", resolve, dox.Protocols, false)
 	return s + "paper Total row: DoUDP 183.8, DoTCP 184.8, DoQ 185.4, DoH 187.3, DoT 185.7\n", nil
 }
 
 // --- E7 / E8 / E9: web figures ---
 
-// relDiffSeries computes, for each [vantage,resolver,page] combination,
-// the relative difference of each protocol's per-combo median metric
-// against the baseline protocol.
-func relDiffSeries(samples []measure.WebSample, metric func(measure.WebSample) time.Duration, baseline dox.Protocol) map[dox.Protocol][]float64 {
-	type key struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[key]map[dox.Protocol][]float64{}
+// comboKey is one [vantage:resolver:page] combination, the unit over
+// which the paper takes each protocol's median page-load metric.
+type comboKey struct {
+	vantage  string
+	resolver int
+	page     string
+}
+
+// comboMedians groups the OK samples by combination and protocol and
+// returns each group's median metric.
+func comboMedians(samples []measure.WebSample, metric func(measure.WebSample) time.Duration) map[comboKey]map[dox.Protocol]float64 {
+	groups := map[comboKey]map[dox.Protocol][]float64{}
 	for _, s := range samples {
 		if !s.OK {
 			continue
 		}
-		k := key{s.Vantage, s.ResolverIdx, s.Page}
-		if med[k] == nil {
-			med[k] = map[dox.Protocol][]float64{}
+		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
+		if groups[k] == nil {
+			groups[k] = map[dox.Protocol][]float64{}
 		}
-		med[k][s.Protocol] = append(med[k][s.Protocol], float64(metric(s)))
+		groups[k][s.Protocol] = append(groups[k][s.Protocol], float64(metric(s)))
 	}
-	out := map[dox.Protocol][]float64{}
-	for _, perProto := range med {
-		base, ok := perProto[baseline]
-		if !ok {
-			continue
+	out := make(map[comboKey]map[dox.Protocol]float64, len(groups))
+	for k, perProto := range groups {
+		med := make(map[dox.Protocol]float64, len(perProto))
+		for p, xs := range perProto {
+			med[p] = stats.Median(xs)
 		}
-		b := stats.Median(base)
+		out[k] = med
+	}
+	return out
+}
+
+// relDiffSeries computes, for each [vantage,resolver,page] combination,
+// the relative difference of each protocol's per-combo median metric
+// against the baseline protocol.
+func relDiffSeries(samples []measure.WebSample, metric func(measure.WebSample) time.Duration, baseline dox.Protocol) map[dox.Protocol][]float64 {
+	out := map[dox.Protocol][]float64{}
+	for _, med := range comboMedians(samples, metric) {
+		b := med[baseline]
 		if b == 0 {
 			continue
 		}
-		for p, xs := range perProto {
-			if p == baseline {
-				continue
+		for p, m := range med {
+			if p != baseline {
+				out[p] = append(out[p], stats.RelDiff(m, b))
 			}
-			out[p] = append(out[p], stats.RelDiff(stats.Median(xs), b))
 		}
 	}
 	return out
+}
+
+// cellKey is one (vantage, page) cell of the Fig. 4 grid.
+type cellKey struct{ vantage, page string }
+
+// pltGrid is the Fig. 4 aggregation: per (vantage, page) cell, the
+// relative difference of each compared protocol's per-combination
+// median PLT against the base protocol's.
+type pltGrid struct {
+	vs    [2]dox.Protocol
+	cells map[cellKey]map[dox.Protocol][]float64
+	// slower counts the combinations where vs[1]'s median PLT exceeds
+	// the base's, out of the combos that measured both.
+	slower, combos int
+}
+
+func newPLTGrid(samples []measure.WebSample, base dox.Protocol, vs [2]dox.Protocol) pltGrid {
+	g := pltGrid{vs: vs, cells: map[cellKey]map[dox.Protocol][]float64{}}
+	for k, med := range comboMedians(samples, plt) {
+		b := med[base]
+		if b == 0 {
+			continue
+		}
+		ck := cellKey{k.vantage, k.page}
+		if g.cells[ck] == nil {
+			g.cells[ck] = map[dox.Protocol][]float64{}
+		}
+		for _, p := range vs {
+			if m, ok := med[p]; ok {
+				g.cells[ck][p] = append(g.cells[ck][p], stats.RelDiff(m, b))
+			}
+		}
+		if m, ok := med[vs[1]]; ok {
+			g.combos++
+			if m > b {
+				g.slower++
+			}
+		}
+	}
+	return g
+}
+
+// table renders the grid with one row per vantage and one column per
+// page; a cell reads "vs[0]|vs[1]" median relative PLT, or "-" when no
+// combination reached it.
+func (g pltGrid) table(title string, ps []*pages.Page) *report.Table {
+	header := []string{"vantage"}
+	for _, p := range ps {
+		header = append(header, p.Name)
+	}
+	t := &report.Table{Title: title, Header: header}
+	for _, vp := range vantageNames() {
+		row := []string{vp}
+		for _, p := range ps {
+			m := g.cells[cellKey{vp, p.Name}]
+			if m == nil {
+				row = append(row, "-")
+				continue
+			}
+			row = append(row, stats.FormatPct(stats.Median(m[g.vs[0]]))+"|"+stats.FormatPct(stats.Median(m[g.vs[1]])))
+		}
+		t.Add(row...)
+	}
+	return t
+}
+
+// pooled gathers p's relative differences across the cells keep
+// selects, sorted.
+func (g pltGrid) pooled(p dox.Protocol, keep func(cellKey) bool) []float64 {
+	var xs []float64
+	for k, m := range g.cells {
+		if keep(k) {
+			xs = append(xs, m[p]...)
+		}
+	}
+	sort.Float64s(xs)
+	return xs
 }
 
 func fig3(samples []measure.WebSample, title string, metric func(measure.WebSample) time.Duration) string {
@@ -660,8 +707,7 @@ func runE8(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out := fig3(samples, "E8 — Fig. 3b: relative PLT difference vs DoUDP (per-combo medians)",
-		func(s measure.WebSample) time.Duration { return s.PLT })
+	out := fig3(samples, "E8 — Fig. 3b: relative PLT difference vs DoUDP (per-combo medians)", plt)
 	return out + "paper: <15% of DoQ loads increase PLT by >15%; >40% of DoH loads do\n", nil
 }
 
@@ -670,100 +716,19 @@ func runE9(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	series := relDiffSeries(samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoQ)
-	_ = series
-	// Per (vantage, page): median rel diff of DoUDP and DoH vs DoQ.
-	type key struct {
-		vantage string
-		page    string
-	}
-	perCell := map[key]map[dox.Protocol][]float64{}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[comboKey]map[dox.Protocol][]float64{}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-		if med[k] == nil {
-			med[k] = map[dox.Protocol][]float64{}
-		}
-		med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-	}
-	doqFasterThanDoH, cells := 0, 0
-	for k, perProto := range med {
-		base := stats.Median(perProto[dox.DoQ])
-		if base == 0 {
-			continue
-		}
-		ck := key{k.vantage, k.page}
-		if perCell[ck] == nil {
-			perCell[ck] = map[dox.Protocol][]float64{}
-		}
-		for _, p := range []dox.Protocol{dox.DoUDP, dox.DoH} {
-			if xs := perProto[p]; len(xs) > 0 {
-				perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-			}
-		}
-		if xs := perProto[dox.DoH]; len(xs) > 0 {
-			cells++
-			if stats.Median(xs) > base {
-				doqFasterThanDoH++
-			}
-		}
-	}
-	pageOrder := []string{}
-	for _, p := range pages.Top10() {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E9 — Fig. 4: median relative PLT vs DoQ baseline (DoUDP | DoH), per vantage and page",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := perCell[key{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoUDP])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
+	g := newPLTGrid(samples, dox.DoQ, [2]dox.Protocol{dox.DoUDP, dox.DoH})
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(g.table("E9 — Fig. 4: median relative PLT vs DoQ baseline (DoUDP | DoH), per vantage and page", pages.Top10()).String())
 	fmt.Fprintf(&sb, "DoQ faster than DoH in %s of [vantage:resolver:page] combinations (paper: DoQ mostly improves on DoH; up to 10%% for simple pages)\n",
-		report.Pct(doqFasterThanDoH, cells))
+		report.Pct(g.slower, g.combos))
 	// Amortization: rel diff DoUDP-vs-DoQ per page (negative = DoUDP faster).
 	sb.WriteString("Amortization (median DoUDP-vs-DoQ rel. PLT per page; paper: -10% simple pages -> ~-2% complex):\n")
-	var pagesSorted []string
-	seen := map[string]bool{}
-	for _, pg := range pageOrder {
-		if !seen[pg] {
-			seen[pg] = true
-			pagesSorted = append(pagesSorted, pg)
-		}
-	}
-	sort.SliceStable(pagesSorted, func(i, j int) bool {
-		return pages.ByName(pagesSorted[i]).DNSQueryCount() < pages.ByName(pagesSorted[j]).DNSQueryCount()
-	})
-	for _, pg := range pagesSorted {
-		var xs []float64
-		for _, vp := range vantageNames() {
-			if m := perCell[key{vp, pg}]; m != nil {
-				xs = append(xs, m[dox.DoUDP]...)
-			}
-		}
+	ps := pages.Top10()
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].DNSQueryCount() < ps[j].DNSQueryCount() })
+	for _, pg := range ps {
+		xs := g.pooled(dox.DoUDP, func(k cellKey) bool { return k.page == pg.Name })
 		if len(xs) > 0 {
-			fmt.Fprintf(&sb, "  %-10s (%d queries): %s\n", pg, pages.ByName(pg).DNSQueryCount(), stats.FormatPct(stats.Median(xs)))
+			fmt.Fprintf(&sb, "  %-10s (%d queries): %s\n", pg.Name, pg.DNSQueryCount(), stats.FormatPct(stats.Median(xs)))
 		}
 	}
 	return sb.String(), nil
@@ -795,22 +760,29 @@ func runE10(r *Runner) (string, error) {
 		Header: []string{"protocol", "resumed", "cold", "penalty"},
 	}
 	for _, p := range []dox.Protocol{dox.DoQ, dox.DoH, dox.DoT} {
-		a := medianHandshake(with, p)
-		b := medianHandshake(without, p)
+		a := protoMedian(with, p, handshake)
+		b := protoMedian(without, p, handshake)
 		t.Add(p.String(), report.Ms(a), report.Ms(b), stats.FormatPct(stats.RelDiff(b, a)))
 	}
 	return t.String() + "paper: ~40% of cold DoQ handshakes pay +1 RTT (amplification limit); Session Resumption removes it\n", nil
 }
 
-func medianHandshake(samples []measure.SingleQuerySample, p dox.Protocol) float64 {
+// protoMedian is the median of f over p's OK samples.
+func protoMedian(samples []measure.SingleQuerySample, p dox.Protocol, f func(measure.SingleQuerySample) time.Duration) float64 {
 	var xs []float64
 	for _, s := range samples {
 		if s.OK && s.Protocol == p {
-			xs = append(xs, float64(s.Handshake))
+			xs = append(xs, float64(f(s)))
 		}
 	}
 	return stats.Median(xs)
 }
+
+func handshake(s measure.SingleQuerySample) time.Duration { return s.Handshake }
+
+func resolve(s measure.SingleQuerySample) time.Duration { return s.Resolve }
+
+func plt(s measure.WebSample) time.Duration { return s.PLT }
 
 func runE11(r *Runner) (string, error) {
 	mk := func(zeroRTT bool) ([]measure.SingleQuerySample, error) {
@@ -862,18 +834,7 @@ func runE11(r *Runner) (string, error) {
 
 func runE12(r *Runner) (string, error) {
 	run := func(fixed bool) ([]measure.WebSample, error) {
-		bp, err := r.blueprint(40, r.Cfg.WebResolvers, nil)
-		if err != nil {
-			return nil, err
-		}
-		return measure.RunWeb(measure.WebConfig{
-			Blueprint:   bp,
-			Parallelism: r.Cfg.Parallelism,
-			Protocols:   []dox.Protocol{dox.DoUDP, dox.DoT},
-			Pages:       pages.Top10()[:r.Cfg.WebPages],
-			Loads:       r.Cfg.WebLoads,
-			FixDoTReuse: fixed,
-		})
+		return r.runWeb(40, measure.WebConfig{Protocols: []dox.Protocol{dox.DoUDP, dox.DoT}, FixDoTReuse: fixed})
 	}
 	buggy, err := run(false)
 	if err != nil {
@@ -884,8 +845,7 @@ func runE12(r *Runner) (string, error) {
 		return "", err
 	}
 	med := func(samples []measure.WebSample) float64 {
-		series := relDiffSeries(samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
-		return stats.Median(series[dox.DoT])
+		return stats.Median(relDiffSeries(samples, plt, dox.DoUDP)[dox.DoT])
 	}
 	var sb strings.Builder
 	sb.WriteString("E12 — DoT proxy in-flight bug (paper §3.2 root cause + community contribution)\n")
@@ -908,47 +868,8 @@ func runE13(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type sizes struct{ total, hsUp, hsDown, q, resp []float64 }
-	per := map[dox.Protocol]*sizes{}
-	counts := map[dox.Protocol]int{}
-	for _, p := range doh3Protocols {
-		per[p] = &sizes{}
-	}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		counts[s.Protocol]++
-		z := per[s.Protocol]
-		z.hsUp = append(z.hsUp, float64(s.M.HandshakeTx))
-		z.hsDown = append(z.hsDown, float64(s.M.HandshakeRx))
-		z.q = append(z.q, float64(s.M.QueryTx))
-		z.resp = append(z.resp, float64(s.M.QueryRx))
-		z.total = append(z.total, float64(s.M.HandshakeTx+s.M.HandshakeRx+s.M.QueryTx+s.M.QueryRx))
-	}
-	t := &report.Table{
-		Title:  "E13 — Table-1-style median single-query sizes with DoH3 (bytes of IP payload)",
-		Header: []string{"row", "DoQ", "DoH", "DoH3", "paper(DoQ/DoH)"},
-	}
-	row := func(name string, f func(*sizes) []float64, paper string) {
-		cells := []string{name}
-		for _, p := range doh3Protocols {
-			cells = append(cells, fmt.Sprintf("%.0f", stats.Median(f(per[p]))))
-		}
-		cells = append(cells, paper)
-		t.Add(cells...)
-	}
-	row("Total", func(z *sizes) []float64 { return z.total }, "4444/2163")
-	row("Handshake C->R", func(z *sizes) []float64 { return z.hsUp }, "2564/569")
-	row("Handshake R->C", func(z *sizes) []float64 { return z.hsDown }, "1304/211")
-	row("DNS Query", func(z *sizes) []float64 { return z.q }, "190/579")
-	row("DNS Response", func(z *sizes) []float64 { return z.resp }, "386/804")
-	sampleRow := []string{"Samples OK"}
-	for _, p := range doh3Protocols {
-		sampleRow = append(sampleRow, fmt.Sprint(counts[p]))
-	}
-	sampleRow = append(sampleRow, "no DoH3 in paper (§5)")
-	t.Add(sampleRow...)
+	t, per := sizeTable(samples, doh3Protocols, "E13 — Table-1-style median single-query sizes with DoH3 (bytes of IP payload)", "paper(DoQ/DoH)",
+		[6]string{"4444/2163", "2564/569", "1304/211", "190/579", "386/804", "no DoH3 in paper (§5)"})
 	var sb strings.Builder
 	sb.WriteString(t.String())
 	qH, qH3, qQ := stats.Median(per[dox.DoH].q), stats.Median(per[dox.DoH3].q), stats.Median(per[dox.DoQ].q)
@@ -964,10 +885,8 @@ func runE14(r *Runner) (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
-	sb.WriteString(fig2Matrix(samples, "E14 — median handshake time per vantage: DoH3 vs DoQ vs DoH (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Handshake }, doh3Protocols, false))
-	sb.WriteString(fig2Matrix(samples, "E14 — median resolve time per vantage (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Resolve }, doh3Protocols, false))
+	sb.WriteString(fig2Matrix(samples, "E14 — median handshake time per vantage: DoH3 vs DoQ vs DoH (ms)", handshake, doh3Protocols, false))
+	sb.WriteString(fig2Matrix(samples, "E14 — median resolve time per vantage (ms)", resolve, doh3Protocols, false))
 	sb.WriteString("expectation: DoH3 handshakes match DoQ (one combined QUIC round trip, resumed), one RTT below DoH's TCP+TLS; resolve times converge across all three\n")
 	return sb.String(), nil
 }
@@ -979,75 +898,11 @@ func runE15(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[comboKey]map[dox.Protocol][]float64{}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-		if med[k] == nil {
-			med[k] = map[dox.Protocol][]float64{}
-		}
-		med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-	}
-	type key struct {
-		vantage string
-		page    string
-	}
-	perCell := map[key]map[dox.Protocol][]float64{}
-	doh3FasterThanDoH, cells := 0, 0
-	for k, perProto := range med {
-		base := stats.Median(perProto[dox.DoH3])
-		if base == 0 {
-			continue
-		}
-		ck := key{k.vantage, k.page}
-		if perCell[ck] == nil {
-			perCell[ck] = map[dox.Protocol][]float64{}
-		}
-		for _, p := range []dox.Protocol{dox.DoQ, dox.DoH} {
-			if xs := perProto[p]; len(xs) > 0 {
-				perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-			}
-		}
-		if xs := perProto[dox.DoH]; len(xs) > 0 {
-			cells++
-			if stats.Median(xs) > base {
-				doh3FasterThanDoH++
-			}
-		}
-	}
-	pageOrder := []string{}
-	for _, p := range pages.Top10() {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E15 — PLT grid, DoH3 baseline: median relative PLT (DoQ | DoH), per vantage and page",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := perCell[key{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoQ])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
+	g := newPLTGrid(samples, dox.DoH3, [2]dox.Protocol{dox.DoQ, dox.DoH})
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(g.table("E15 — PLT grid, DoH3 baseline: median relative PLT (DoQ | DoH), per vantage and page", pages.Top10()).String())
 	fmt.Fprintf(&sb, "DoH3 faster than DoH in %s of [vantage:resolver:page] combinations (positive DoH cells = DoH slower than the DoH3 baseline)\n",
-		report.Pct(doh3FasterThanDoH, cells))
+		report.Pct(g.slower, g.combos))
 	sb.WriteString("expectation (§5): page loads over DoH3 sit at DoQ's level — the HTTP layer costs bytes, not round trips\n")
 	return sb.String(), nil
 }
@@ -1155,22 +1010,13 @@ func runE17(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	medResolve := func(samples []measure.SingleQuerySample, p dox.Protocol) float64 {
-		var xs []float64
-		for _, s := range samples {
-			if s.OK && s.Protocol == p {
-				xs = append(xs, float64(s.Resolve))
-			}
-		}
-		return stats.Median(xs)
-	}
 	t := &report.Table{
 		Title:  "E17 — median resolve time, cached vs uncached, lossless paths (ms)",
 		Header: []string{"protocol", "cached", "uncached", "recursion cost"},
 	}
 	for _, p := range dox.Protocols {
-		c := medResolve(cached, p)
-		u := medResolve(uncached, p)
+		c := protoMedian(cached, p, resolve)
+		u := protoMedian(uncached, p, resolve)
 		t.Add(p.String(), report.Ms(c), report.Ms(u), stats.FormatPct(stats.RelDiff(u, c)))
 	}
 	var sb strings.Builder
@@ -1185,20 +1031,8 @@ func runE17(r *Runner) (string, error) {
 // survives session resets, so the warming navigation leaves the
 // measured loads resolving repeated names locally.
 func runE18(r *Runner) (string, error) {
-	protos := []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH}
 	run := func(warm bool) ([]measure.WebSample, error) {
-		bp, err := r.blueprint(90, r.Cfg.WebResolvers, nil)
-		if err != nil {
-			return nil, err
-		}
-		return measure.RunWeb(measure.WebConfig{
-			Blueprint:   bp,
-			Parallelism: r.Cfg.Parallelism,
-			Protocols:   protos,
-			Pages:       pages.Top10()[:r.Cfg.WebPages],
-			Loads:       r.Cfg.WebLoads,
-			StubCache:   warm,
-		})
+		return r.runWeb(90, measure.WebConfig{Protocols: []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH}, StubCache: warm})
 	}
 	cold, err := run(false)
 	if err != nil {
@@ -1208,81 +1042,16 @@ func runE18(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	type cellKey struct {
-		vantage string
-		page    string
-	}
-	grid := func(samples []measure.WebSample) map[cellKey]map[dox.Protocol][]float64 {
-		med := map[comboKey]map[dox.Protocol][]float64{}
-		for _, s := range samples {
-			if !s.OK {
-				continue
-			}
-			k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-			if med[k] == nil {
-				med[k] = map[dox.Protocol][]float64{}
-			}
-			med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-		}
-		perCell := map[cellKey]map[dox.Protocol][]float64{}
-		for k, perProto := range med {
-			base := stats.Median(perProto[dox.DoUDP])
-			if base == 0 {
-				continue
-			}
-			ck := cellKey{k.vantage, k.page}
-			if perCell[ck] == nil {
-				perCell[ck] = map[dox.Protocol][]float64{}
-			}
-			for _, p := range []dox.Protocol{dox.DoQ, dox.DoH} {
-				if xs := perProto[p]; len(xs) > 0 {
-					perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-				}
-			}
-		}
-		return perCell
-	}
-	warmCells := grid(warm)
-	coldCells := grid(cold)
-	pageOrder := []string{}
-	for _, p := range pages.Top10()[:r.Cfg.WebPages] {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E18 — PLT grid under a warm shared (stub) cache: median relative PLT vs DoUDP (DoQ | DoH)",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := warmCells[cellKey{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoQ])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
-	overall := func(cells map[cellKey]map[dox.Protocol][]float64, p dox.Protocol) float64 {
-		var xs []float64
-		for _, m := range cells {
-			xs = append(xs, m[p]...)
-		}
-		return stats.Median(xs)
+	vs := [2]dox.Protocol{dox.DoQ, dox.DoH}
+	warmGrid := newPLTGrid(warm, dox.DoUDP, vs)
+	coldGrid := newPLTGrid(cold, dox.DoUDP, vs)
+	overall := func(g pltGrid, p dox.Protocol) string {
+		return stats.FormatPct(stats.Median(g.pooled(p, func(cellKey) bool { return true })))
 	}
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(warmGrid.table("E18 — PLT grid under a warm shared (stub) cache: median relative PLT vs DoUDP (DoQ | DoH)", pages.Top10()[:r.Cfg.WebPages]).String())
 	fmt.Fprintf(&sb, "median PLT penalty vs DoUDP, cold proxy -> warm stub cache: DoQ %s -> %s, DoH %s -> %s\n",
-		stats.FormatPct(overall(coldCells, dox.DoQ)), stats.FormatPct(overall(warmCells, dox.DoQ)),
-		stats.FormatPct(overall(coldCells, dox.DoH)), stats.FormatPct(overall(warmCells, dox.DoH)))
+		overall(coldGrid, dox.DoQ), overall(warmGrid, dox.DoQ), overall(coldGrid, dox.DoH), overall(warmGrid, dox.DoH))
 	sb.WriteString("expectation: with repeated names absorbed at the stub, upstream DNS leaves the page-load critical path\n")
 	sb.WriteString("and the encrypted transports' PLT penalty shrinks toward DoUDP's\n")
 	return sb.String(), nil
@@ -1293,24 +1062,15 @@ func runE18(r *Runner) (string, error) {
 // AccessGrid runs (once) the per-profile single-query grid consumed by
 // E19: the same population behind each named access link.
 func (r *Runner) AccessGrid() ([]measure.AccessGridCell, error) {
-	r.accessMu.Lock()
-	defer r.accessMu.Unlock()
-	if r.accessDone {
-		return r.access, nil
-	}
-	cells, err := measure.RunAccessGrid(measure.AccessGridConfig{
-		Seed:           r.Cfg.Seed + 100,
-		ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
-		Loss:           r.Cfg.Loss,
-		Parallelism:    r.Cfg.Parallelism,
-		Rounds:         r.Cfg.Rounds,
+	return r.access.get(func() ([]measure.AccessGridCell, error) {
+		return measure.RunAccessGrid(measure.AccessGridConfig{
+			Seed:           r.Cfg.Seed + 100,
+			ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
+			Loss:           r.Cfg.Loss,
+			Parallelism:    r.Cfg.Parallelism,
+			Rounds:         r.Cfg.Rounds,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.access = cells
-	r.accessDone = true
-	return cells, nil
 }
 
 // The E20 burst-loss schedule: the campaign alternates 60-second clean
@@ -1363,67 +1123,46 @@ func e20InBurst(at time.Duration) bool {
 // BurstLossCampaign runs (once) the scheduled burst-loss campaign of
 // E20.
 func (r *Runner) BurstLossCampaign() ([]measure.SingleQuerySample, error) {
-	r.burstMu.Lock()
-	defer r.burstMu.Unlock()
-	if r.burstDone {
-		return r.burst, nil
-	}
-	loss := r.Cfg.Loss
-	if loss == 0 {
-		loss = 0.003
-	}
-	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
-		Seed:           r.Cfg.Seed + 105,
-		ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
-		Loss:           r.Cfg.Loss,
-		PathPhases:     e20Phases(loss),
+	return r.burst.get(func() ([]measure.SingleQuerySample, error) {
+		loss := r.Cfg.Loss
+		if loss == 0 {
+			loss = 0.003
+		}
+		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
+			Seed:           r.Cfg.Seed + 105,
+			ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
+			Loss:           r.Cfg.Loss,
+			PathPhases:     e20Phases(loss),
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Tail quantiles need samples: run at least two rounds regardless
+		// of the configured default (the rounds land in different schedule
+		// windows, so they also decorrelate burst luck across the grid).
+		return measure.RunSingleQuery(measure.SingleQueryConfig{
+			Blueprint:     bp,
+			Parallelism:   r.Cfg.Parallelism,
+			Rounds:        max(r.Cfg.Rounds, 2),
+			RoundInterval: e20RoundInterval,
+			QuerySpacing:  2 * time.Second,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Tail quantiles need samples: run at least two rounds regardless
-	// of the configured default (the rounds land in different schedule
-	// windows, so they also decorrelate burst luck across the grid).
-	rounds := r.Cfg.Rounds
-	if rounds < 2 {
-		rounds = 2
-	}
-	r.burst, err = measure.RunSingleQuery(measure.SingleQueryConfig{
-		Blueprint:     bp,
-		Parallelism:   r.Cfg.Parallelism,
-		Rounds:        rounds,
-		RoundInterval: e20RoundInterval,
-		QuerySpacing:  2 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.burstDone = true
-	return r.burst, nil
 }
 
 // AccessWebGrid runs (once) the per-profile web grid consumed by E21.
 func (r *Runner) AccessWebGrid() ([]measure.AccessWebGridCell, error) {
-	r.accessWebMu.Lock()
-	defer r.accessWebMu.Unlock()
-	if r.accessWebDone {
-		return r.accessWeb, nil
-	}
-	cells, err := measure.RunAccessWebGrid(measure.AccessGridConfig{
-		Seed:           r.Cfg.Seed + 110,
-		ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
-		Loss:           r.Cfg.Loss,
-		Parallelism:    r.Cfg.Parallelism,
-		Protocols:      []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
-		Pages:          pages.Top10()[:r.Cfg.WebPages],
-		Loads:          r.Cfg.WebLoads,
+	return r.accessWeb.get(func() ([]measure.AccessWebGridCell, error) {
+		return measure.RunAccessWebGrid(measure.AccessGridConfig{
+			Seed:           r.Cfg.Seed + 110,
+			ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
+			Loss:           r.Cfg.Loss,
+			Parallelism:    r.Cfg.Parallelism,
+			Protocols:      []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
+			Pages:          pages.Top10()[:r.Cfg.WebPages],
+			Loads:          r.Cfg.WebLoads,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.accessWeb = cells
-	r.accessWebDone = true
-	return cells, nil
 }
 
 // runE19 reports the paper's vantage-diversity observation on the
@@ -1546,7 +1285,7 @@ func runE21(r *Runner) (string, error) {
 				udp = append(udp, float64(s.PLT))
 			}
 		}
-		series := relDiffSeries(cell.Samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
+		series := relDiffSeries(cell.Samples, plt, dox.DoUDP)
 		t.Add(cell.Profile,
 			report.Ms(stats.Median(udp)),
 			stats.FormatPct(stats.Median(series[dox.DoQ])),
@@ -1559,6 +1298,3 @@ func runE21(r *Runner) (string, error) {
 	sb.WriteString("link); the relative encrypted-DNS penalty is largest on fast links and compresses once content dominates\n")
 	return sb.String(), nil
 }
-
-// Ensure unused import pruning doesn't bite.
-var _ = tlsmini.VersionTLS13

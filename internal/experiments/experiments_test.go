@@ -1,7 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,20 +33,16 @@ func tiny() Config {
 	}
 }
 
+// TestRegistryComplete checks that the registry numbers its entries
+// E1…E<n> in order (no gaps, duplicates or misordering) and that every
+// entry is complete.
 func TestRegistryComplete(t *testing.T) {
-	ids := map[string]bool{}
-	for _, e := range All() {
-		if ids[e.ID] {
-			t.Errorf("duplicate experiment %s", e.ID)
+	for i, e := range All() {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("registry entry %d is %s, want %s", i, e.ID, want)
 		}
-		ids[e.ID] = true
 		if e.Artifact == "" || e.About == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
-		}
-	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24"} {
-		if !ids[want] {
-			t.Errorf("missing experiment %s", want)
 		}
 	}
 	if _, ok := ByID("E4"); !ok {
@@ -47,6 +50,131 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := ByID("E99"); ok {
 		t.Error("ByID(E99) succeeded")
+	}
+}
+
+// TestDesignIndexMatchesRegistry checks that DESIGN.md §4's experiment
+// table has exactly one "ID | Artifact | About" row per registry entry,
+// in registry order.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## 4. Experiment index")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4 experiment index")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| E") {
+			continue
+		}
+		var cells []string
+		for _, c := range strings.Split(strings.Trim(line, "|"), "|") {
+			cells = append(cells, strings.TrimSpace(c))
+		}
+		rows = append(rows, strings.Join(cells, " | "))
+	}
+	var want []string
+	for _, e := range All() {
+		want = append(want, e.ID+" | "+e.Artifact+" | "+e.About)
+	}
+	if !slices.Equal(rows, want) {
+		t.Errorf("DESIGN.md §4 rows:\n%s\nwant (from All()):\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestExperimentsDocMatchesRegistry checks that EXPERIMENTS.md has
+// exactly one "## E<n>" section per registry entry, in registry order.
+func TestExperimentsDocMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## E") {
+			got = append(got, strings.Fields(line)[1])
+		}
+	}
+	for _, e := range All() {
+		want = append(want, e.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("EXPERIMENTS.md sections %v, want %v", got, want)
+	}
+}
+
+// TestOnceRunsCampaignOnce checks the campaign memo: concurrent callers
+// share one run's result, and a failed run is not cached.
+func TestOnceRunsCampaignOnce(t *testing.T) {
+	var o once[[]int]
+	var runs atomic.Int32
+	release := make(chan struct{})
+	run := func() ([]int, error) {
+		runs.Add(1)
+		<-release
+		return []int{42}, nil
+	}
+	const callers = 8
+	got := make([][]int, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := o.get(run)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Errorf("campaign ran %d times, want 1", n)
+	}
+	for i, v := range got {
+		if len(v) != 1 || &v[0] != &got[0][0] {
+			t.Errorf("caller %d got %v, not the shared result", i, v)
+		}
+	}
+
+	var f once[int]
+	boom := errors.New("boom")
+	if _, err := f.get(func() (int, error) { return 1, boom }); err != boom {
+		t.Fatalf("first get: err %v, want %v", err, boom)
+	}
+	v, err := f.get(func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("retry after failure: got %d, %v; want 7, nil", v, err)
+	}
+	v, err = f.get(func() (int, error) { return 0, boom })
+	if err != nil || v != 7 {
+		t.Errorf("cached get: got %d, %v; want 7, nil", v, err)
+	}
+}
+
+// TestGridReportsGolden pins the exact bytes of the three Fig. 4-style
+// grid reports (E9, E15, E18) at the tiny() configuration, so the shared
+// grid aggregation and renderer cannot drift.
+func TestGridReportsGolden(t *testing.T) {
+	for _, id := range []string{"E9", "E15", "E18"} {
+		want, err := os.ReadFile(filepath.Join("testdata", id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := ByID(id)
+		got, err := e.Run(NewRunner(tiny()))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s report differs from testdata/%s.txt:\n--- got:\n%s\n--- want:\n%s", id, id, got, want)
+		}
 	}
 }
 
@@ -95,9 +223,8 @@ func TestSingleQueryCachedAcrossExperiments(t *testing.T) {
 }
 
 // TestReportsDeterministicAcrossParallelism enforces the acceptance
-// criterion that every experiment E1-E18 — the DoH3 campaigns and the
-// cache/Zipf campaigns included — emits a byte-identical report at
-// parallelism 1 and parallelism 8 for the same seed. Each parallelism
+// criterion that every registered experiment emits a byte-identical
+// report at parallelism 1 and parallelism 8 for the same seed. Each parallelism
 // level gets a fresh Runner so campaign caches cannot mask a
 // divergence.
 func TestReportsDeterministicAcrossParallelism(t *testing.T) {
