@@ -64,6 +64,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dnsmsg
 	go test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/tlsmini
 	go test -run '^$$' -fuzz FuzzServerRecords -fuzztime 10s ./internal/tlsmini
+	go test -run '^$$' -fuzz FuzzParseFrames -fuzztime 10s ./internal/quic
 
 # bench-smoke compiles and runs every benchmark for one iteration, so
 # benchmarks cannot bit-rot.

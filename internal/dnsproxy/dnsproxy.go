@@ -319,6 +319,9 @@ func (p *Proxy) send(dst netip.AddrPort, resp *dnsmsg.Message) {
 
 func (p *Proxy) forward(d netapi.Packet) {
 	q, err := dnsmsg.Decode(d.Payload)
+	// Decode copies everything the message keeps, so the stub's datagram
+	// goes back to the pool here, decoded or not.
+	p.sock.Pool().Put(d.Payload)
 	if err != nil {
 		return
 	}

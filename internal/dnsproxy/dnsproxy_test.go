@@ -1,11 +1,13 @@
 package dnsproxy
 
 import (
+	"fmt"
 	"net/netip"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cache"
 	"repro/internal/dnsmsg"
 	"repro/internal/dox"
@@ -537,5 +539,43 @@ func TestCoalescedFanoutSteadyStateAllocs(t *testing.T) {
 	// waiter costing encode+send must stay pooled).
 	if perRound > 60 {
 		t.Errorf("coalesced fan-out allocates %.1f/round; budget 60", perRound)
+	}
+}
+
+// TestStubDatagramsReturnToPool pins the proxy's ownership of stub
+// queries: every received datagram goes back to the World's pool once
+// decoded. A stub that leases its query buffers and releases the
+// replies (as measure.RunProxyServe's clients do) must then see the
+// pool's miss count stay flat as its query count grows; a proxy that
+// kept the datagrams would cost one miss per query. Not parallel:
+// bytepool.Stats counts process-wide.
+func TestStubDatagramsReturnToPool(t *testing.T) {
+	u, p := setupFull(t, dox.DoQ, func(uc *resolver.UniverseConfig) {
+		uc.MutateProfile = func(p *resolver.Profile) { p.ResponseRate = 1 }
+	}, nil)
+	const warm, window = 20, 100
+	var misses [3]uint64 // at the end of warm-up, of one window, of two
+	u.W.Go(func() {
+		sock := u.Vantages[0].Host.Dial(netem.ProtoUDP, 8)
+		defer sock.Close()
+		for i := 0; i < warm+2*window; i++ {
+			q := dnsmsg.NewQuery(uint16(i+1), fmt.Sprintf("n%d.example", i), dnsmsg.TypeA)
+			sock.Send(p.Addr(), q.AppendEncode(sock.Pool().Get(512)))
+			d, ok := sock.RecvTimeout(10 * time.Second)
+			if !ok {
+				t.Errorf("query %d: no response", i)
+				return
+			}
+			sock.Pool().Put(d.Payload)
+			if n := i + 1 - warm; n >= 0 && n%window == 0 {
+				_, misses[n/window] = bytepool.Stats()
+			}
+		}
+	})
+	u.W.Run()
+	first, second := misses[1]-misses[0], misses[2]-misses[1]
+	t.Logf("pool misses: %d over the first %d queries after warm-up, %d over the next %d", first, window, second, window)
+	if first > window/10 || second > first {
+		t.Errorf("pool misses grow with the query count: %d then %d per %d queries", first, second, window)
 	}
 }

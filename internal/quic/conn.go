@@ -215,6 +215,13 @@ type Conn struct {
 
 	streams      map[uint64]*Stream
 	nextStreamID uint64
+	// streamLimit is, per stream-ID class (the ID's low two bits), one
+	// past the highest stream index created so far; streamGaps lists the
+	// IDs below it that were skipped (a later stream's frame outran
+	// theirs) and not yet created. An ID under the limit that is neither
+	// live nor a gap belongs to a retired stream (see retireStream).
+	streamLimit  [4]uint64
+	streamGaps   []uint64
 	acceptQ      *sim.Queue[*Stream]
 	earlyStreams []*Stream // streams with data sent as 0-RTT
 
@@ -250,6 +257,15 @@ type Conn struct {
 	// datagrams; it is never ack-eliciting or retransmittable, so no
 	// packet record retains it.
 	padFrame frame
+	// ctlFrame is the scratch for the ACK and PATH_RESPONSE frames sent
+	// through the one-element list ctlList. Neither is retransmittable,
+	// so no packet record keeps ctlFrame and it is rewritten per send.
+	ctlFrame frame
+	ctlList  [1]*frame
+	// rxFrames is processPacket's parse scratch. Its frames alias the
+	// packet's plaintext and are valid only while that packet is
+	// handled.
+	rxFrames []frame
 	// encBuf is the handshake-message encode scratch for
 	// sendCryptoFlight; CRYPTO frames copy their chunks out of it.
 	encBuf []byte
@@ -367,6 +383,7 @@ func (c *Conn) HandshakeTime() time.Duration { return c.hsCompleteAt - c.started
 func (c *Conn) OpenStream() *Stream {
 	id := c.nextStreamID
 	c.nextStreamID += 4
+	c.streamLimit[id&3] = id>>2 + 1
 	s := newStream(c, id)
 	c.streams[id] = s
 	return s
@@ -750,7 +767,17 @@ var errVersionNegotiation = errors.New("quic: version negotiation required")
 
 // processPacket handles one packet. It reports false when the packet
 // could not be decrypted because its keys are not yet available (the
-// caller buffers such packets for retry).
+// caller buffers such packets for retry). Every false return precedes
+// the decryption, so a buffered packet is never half-decrypted.
+//
+// The packet is decrypted in place: sealed lies in the pooled datagram
+// (or a buffered copy) that the connection owns until handleDatagram
+// returns, and the parsed frames alias the plaintext. What outlives the
+// packet is copied where it is kept: out-of-order CRYPTO data
+// (cryptoPending), the NEW_TOKEN token, and STREAM data, whether held
+// out of order or handed to readers (Stream.receive).
+//
+//simlint:hotpath
 func (c *Conn) processPacket(p packet, sealed, aad []byte) bool {
 	space := spaceOf(p.ptype)
 	var secret []byte
@@ -778,13 +805,14 @@ func (c *Conn) processPacket(p packet, sealed, aad []byte) bool {
 	if secret == nil {
 		return false
 	}
-	plain, err := c.opener.Open(secret, p.pn, sealed, aad)
+	plain, err := c.opener.OpenAppend(sealed[:0], secret, p.pn, sealed, aad)
 	if err != nil {
 		return true // authentication failure: drop, do not buffer
 	}
-	frames, err := parseFrames(plain)
+	frames, err := parseFrames(plain, c.rxFrames[:0])
+	c.rxFrames = frames[:0]
 	if err != nil {
-		return true
+		return true // malformed: drop the packet whole
 	}
 
 	sp := c.spaces[space]
@@ -801,7 +829,8 @@ func (c *Conn) processPacket(p packet, sealed, aad []byte) bool {
 	}
 
 	ackEliciting := false
-	for _, f := range frames {
+	for i := range frames {
+		f := &frames[i]
 		if f.ackEliciting() {
 			ackEliciting = true
 		}
@@ -813,6 +842,7 @@ func (c *Conn) processPacket(p packet, sealed, aad []byte) bool {
 	if ackEliciting {
 		sp.ackQueued = true
 	}
+	// Runs after the frame loop: a retried packet reuses rxFrames.
 	c.retryUndecryptable()
 	return true
 }
@@ -844,14 +874,15 @@ func (c *Conn) handleFrame(space int, f *frame) {
 		c.processCrypto(space, f)
 	case frNewToken:
 		if c.isClient {
-			c.newToken = f.token
+			c.newToken = append([]byte(nil), f.token...)
 		}
 	case frStreamBase:
 		c.processStreamFrame(f)
 	case frPathChallenge:
 		// Echo the payload back to the (possibly just-rebound) peer
 		// address; receiving the echo there validates the path.
-		c.sendInSpace(spcApp, []*frame{{kind: frPathResponse, pathData: f.pathData}})
+		c.ctlFrame = frame{kind: frPathResponse, pathData: f.pathData}
+		c.sendInSpace(spcApp, c.oneFrame(&c.ctlFrame))
 	case frPathResponse:
 		if c.pathValidated != nil && f.pathData == c.pathChallenge {
 			c.pathValidated.Resolve(true)
@@ -890,7 +921,7 @@ func (c *Conn) processCrypto(space int, f *frame) {
 	sp := c.spaces[space]
 	// Reassemble the crypto stream in order.
 	if f.offset > sp.cryptoInNext {
-		sp.cryptoPending[f.offset] = f.data
+		sp.cryptoPending[f.offset] = append([]byte(nil), f.data...)
 		return
 	}
 	if f.offset+uint64(len(f.data)) <= sp.cryptoInNext {
@@ -970,15 +1001,74 @@ func (c *Conn) onHandshakeComplete() {
 func (c *Conn) processStreamFrame(f *frame) {
 	s, ok := c.streams[f.streamID]
 	if !ok {
+		if !c.newStreamID(f.streamID) {
+			// A late or retransmitted frame for a retired stream: the
+			// packet is acknowledged as usual and the frame dropped.
+			return
+		}
 		// Peer-initiated stream.
 		s = newStream(c, f.streamID)
 		c.streams[f.streamID] = s
 		c.acceptQ.Push(s)
 	}
 	s.receive(f)
+	c.retireStream(s)
+}
+
+// maxStreamGaps bounds the stream IDs a peer may skip and leave
+// unopened. Loss or reordering of streams' first packets skips a few; a
+// frame that would skip past the bound is dropped, as a peer exceeding
+// its stream limit would be refused (RFC 9000 §4.6).
+const maxStreamGaps = 64
+
+// newStreamID reports whether id, absent from c.streams, names a stream
+// not created before, and records it as created. IDs in a class are
+// created in ascending order except where reordering delivers a later
+// stream's first frame first; the IDs skipped then are remembered as
+// gaps, so every other ID below the class's limit is a retired one.
+func (c *Conn) newStreamID(id uint64) bool {
+	class, idx := id&3, id>>2
+	if idx >= c.streamLimit[class] {
+		if idx-c.streamLimit[class] > uint64(maxStreamGaps-len(c.streamGaps)) {
+			return false
+		}
+		for gap := c.streamLimit[class]; gap < idx; gap++ {
+			c.streamGaps = append(c.streamGaps, gap<<2|class)
+		}
+		c.streamLimit[class] = idx + 1
+		return true
+	}
+	if i := slices.Index(c.streamGaps, id); i >= 0 {
+		c.streamGaps = slices.Delete(c.streamGaps, i, i+1)
+		return true
+	}
+	return false
+}
+
+// retireStream drops a finished stream — FIN sent, and every byte up to
+// the peer's final size received — from c.streams, so the map holds the
+// streams in use rather than every stream the connection ever carried.
+// Nothing further can arrive for it: newStreamID turns its late frames
+// away. The Stream itself stays readable for whoever holds it.
+func (c *Conn) retireStream(s *Stream) {
+	if s.sentFIN && s.hasFinal && s.recvNext >= s.finalSize {
+		delete(c.streams, s.id)
+	}
+}
+
+// pingFrame is the PTO probe's PING. PING is retransmittable, so packet
+// records of every connection may point at it; it is never modified.
+var pingFrame = frame{kind: frPing}
+
+// oneFrame returns a one-element frame list backed by the connection.
+func (c *Conn) oneFrame(f *frame) []*frame {
+	c.ctlList[0] = f
+	return c.ctlList[:]
 }
 
 // flushAcks emits pending ACK frames, one packet per space.
+//
+//simlint:hotpath
 func (c *Conn) flushAcks() {
 	if c.closed {
 		return
@@ -990,7 +1080,8 @@ func (c *Conn) flushAcks() {
 		}
 		sp.ackQueued = false
 		// Contiguous range ending at the largest received.
-		c.sendInSpace(i, []*frame{{kind: frAck, largestAcked: top.hi, firstRange: top.hi - top.lo}})
+		c.ctlFrame = frame{kind: frAck, largestAcked: top.hi, firstRange: top.hi - top.lo}
+		c.sendInSpace(i, c.oneFrame(&c.ctlFrame))
 	}
 }
 
@@ -1050,7 +1141,7 @@ func (c *Conn) onPTO() {
 	if !resent && !c.hsComplete && c.isClient {
 		// Anti-deadlock probe: a padded Initial PING re-validates our
 		// address and raises the server's amplification budget.
-		c.sendInSpace(spcInitial, []*frame{{kind: frPing}})
+		c.sendInSpace(spcInitial, c.oneFrame(&pingFrame))
 	}
 	c.pto *= 2
 	if c.pto > maxPTO {

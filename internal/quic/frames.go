@@ -26,6 +26,7 @@ const pathDataLen = 8
 // frame is the decoded representation of any supported frame.
 type frame struct {
 	kind byte
+	fin  bool // STREAM; beside kind so the two share a word
 
 	// ACK
 	largestAcked uint64
@@ -37,7 +38,6 @@ type frame struct {
 
 	// STREAM
 	streamID uint64
-	fin      bool
 
 	// NEW_TOKEN
 	token []byte
@@ -153,157 +153,140 @@ func frameWireLen(f *frame) int {
 
 var errFrame = errors.New("quic: malformed frame")
 
-// parseFrames decodes all frames in a packet payload.
-func parseFrames(b []byte) ([]*frame, error) {
-	var out []*frame
+// parseFrames decodes all frames in a packet payload, appending them to
+// dst (a per-connection scratch) by value. CRYPTO and STREAM data and
+// NEW_TOKEN tokens alias b, so frames are valid only as long as b:
+// whatever is kept past the packet is copied by its keeper. A payload
+// with any malformed frame fails whole; the frames returned alongside
+// the error only carry dst's (possibly grown) capacity back for reuse.
+//
+//simlint:hotpath
+func parseFrames(b []byte, dst []frame) ([]frame, error) {
 	for len(b) > 0 {
 		t := b[0]
+		var f frame
+		var n int
+		var err error
 		switch {
 		case t == frPadding:
 			// Coalesce a run of padding into one frame.
-			n := 0
 			for n < len(b) && b[n] == frPadding {
 				n++
 			}
-			out = append(out, &frame{kind: frPadding, padLen: n})
+			f = frame{kind: frPadding, padLen: n}
 			b = b[n:]
 		case t == frPing:
-			out = append(out, &frame{kind: frPing})
+			f.kind = frPing
 			b = b[1:]
 		case t == frAck:
 			b = b[1:]
-			f := &frame{kind: frAck}
-			var n int
-			var err error
+			f.kind = frAck
 			if f.largestAcked, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
 			if _, n, err = readVarint(b); err != nil { // delay
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
 			var rangeCount uint64
 			if rangeCount, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
 			if f.firstRange, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
 			for i := uint64(0); i < rangeCount; i++ {
 				// gap + range, both skipped (we never send them).
 				for j := 0; j < 2; j++ {
 					if _, n, err = readVarint(b); err != nil {
-						return nil, err
+						return dst, err
 					}
 					b = b[n:]
 				}
 			}
-			out = append(out, f)
 		case t == frCrypto:
 			b = b[1:]
-			f := &frame{kind: frCrypto}
-			var n int
-			var err error
+			f.kind = frCrypto
 			if f.offset, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
-			var ln uint64
-			if ln, n, err = readVarint(b); err != nil {
-				return nil, err
+			if f.data, b, err = readLenPrefixed(b); err != nil {
+				return dst, err
 			}
-			b = b[n:]
-			if uint64(len(b)) < ln {
-				return nil, errFrame
-			}
-			f.data = append([]byte(nil), b[:ln]...)
-			b = b[ln:]
-			out = append(out, f)
 		case t == frNewToken:
-			b = b[1:]
-			f := &frame{kind: frNewToken}
-			ln, n, err := readVarint(b)
-			if err != nil {
-				return nil, err
+			f.kind = frNewToken
+			if f.token, b, err = readLenPrefixed(b[1:]); err != nil {
+				return dst, err
 			}
-			b = b[n:]
-			if uint64(len(b)) < ln {
-				return nil, errFrame
-			}
-			f.token = append([]byte(nil), b[:ln]...)
-			b = b[ln:]
-			out = append(out, f)
 		case t >= frStreamBase && t <= frStreamBase|0x07:
 			hasOff := t&0x04 != 0
 			hasLen := t&0x02 != 0
-			f := &frame{kind: frStreamBase, fin: t&0x01 != 0}
+			f = frame{kind: frStreamBase, fin: t&0x01 != 0}
 			b = b[1:]
-			var n int
-			var err error
 			if f.streamID, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
 			if hasOff {
 				if f.offset, n, err = readVarint(b); err != nil {
-					return nil, err
+					return dst, err
 				}
 				b = b[n:]
 			}
-			ln := uint64(len(b))
 			if hasLen {
-				if ln, n, err = readVarint(b); err != nil {
-					return nil, err
+				if f.data, b, err = readLenPrefixed(b); err != nil {
+					return dst, err
 				}
-				b = b[n:]
+			} else {
+				f.data, b = b, b[len(b):]
 			}
-			if uint64(len(b)) < ln {
-				return nil, errFrame
-			}
-			f.data = append([]byte(nil), b[:ln]...)
-			b = b[ln:]
-			out = append(out, f)
 		case t == frPathChallenge || t == frPathResponse:
 			if len(b) < 1+pathDataLen {
-				return nil, errFrame
+				return dst, errFrame
 			}
-			f := &frame{kind: t}
+			f.kind = t
 			copy(f.pathData[:], b[1:1+pathDataLen])
 			b = b[1+pathDataLen:]
-			out = append(out, f)
 		case t == frConnClose:
 			b = b[1:]
-			f := &frame{kind: frConnClose}
-			var n int
-			var err error
+			f.kind = frConnClose
 			if f.errorCode, n, err = readVarint(b); err != nil {
-				return nil, err
+				return dst, err
 			}
 			b = b[n:]
-			if _, n, err = readVarint(b); err != nil {
-				return nil, err
+			if _, n, err = readVarint(b); err != nil { // offending frame type
+				return dst, err
 			}
-			b = b[n:]
-			var ln uint64
-			if ln, n, err = readVarint(b); err != nil {
-				return nil, err
+			var reason []byte
+			if reason, b, err = readLenPrefixed(b[n:]); err != nil {
+				return dst, err
 			}
-			b = b[n:]
-			if uint64(len(b)) < ln {
-				return nil, errFrame
-			}
-			f.reason = string(b[:ln])
-			b = b[ln:]
-			out = append(out, f)
+			f.reason = string(reason)
 		case t == frHandshakeDone:
-			out = append(out, &frame{kind: frHandshakeDone})
+			f.kind = frHandshakeDone
 			b = b[1:]
 		default:
-			return nil, fmt.Errorf("quic: unknown frame type %#x", t)
+			return dst, errFrame
 		}
+		dst = append(dst, f)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// readLenPrefixed splits a varint-length-prefixed field off b; the
+// field aliases b.
+func readLenPrefixed(b []byte) (field, rest []byte, err error) {
+	ln, n, err := readVarint(b)
+	if err != nil {
+		return nil, b, err
+	}
+	b = b[n:]
+	if uint64(len(b)) < ln {
+		return nil, b, errFrame
+	}
+	return b[:ln:ln], b[ln:], nil
 }

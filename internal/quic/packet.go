@@ -86,7 +86,6 @@ type packet struct {
 	scid    []byte
 	token   []byte // Initial only
 	pn      uint64
-	payload []byte // decrypted frames
 
 	versions []uint32 // Version Negotiation only
 }

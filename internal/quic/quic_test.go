@@ -63,7 +63,7 @@ func (e *env) clientCfg() Config {
 }
 
 // startEchoServer runs a stream-echo DoQ-style server.
-func (e *env) startEchoServer(t *testing.T, cfg Config) *Listener {
+func (e *env) startEchoServer(t testing.TB, cfg Config) *Listener {
 	t.Helper()
 	l, err := Listen(e.server, 853, cfg)
 	if err != nil {
@@ -591,7 +591,7 @@ func TestFrameParseNeverPanics(t *testing.T) {
 				t.Errorf("parseFrames panicked on %x: %v", b, p)
 			}
 		}()
-		parseFrames(b)
+		parseFrames(b, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -616,7 +616,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		buf = appendFrame(buf, f)
 	}
-	got, err := parseFrames(buf)
+	got, err := parseFrames(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d frames, want %d", len(got), len(frames))
 	}
 	for i := range frames {
-		a, b := frames[i], got[i]
+		a, b := frames[i], &got[i]
 		if a.kind != b.kind || a.largestAcked != b.largestAcked || a.offset != b.offset ||
 			a.streamID != b.streamID || a.fin != b.fin || !bytes.Equal(a.data, b.data) ||
 			!bytes.Equal(a.token, b.token) || a.reason != b.reason {

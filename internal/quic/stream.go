@@ -16,8 +16,10 @@ type Stream struct {
 	sentFIN    bool
 	earlyData  []*frame // frames sent as 0-RTT, kept for replay on reject
 
-	recvNext    uint64
-	recvPending map[uint64]*frame
+	recvNext uint64
+	// recvPending holds out-of-order data by offset, copied out of the
+	// packet it arrived in.
+	recvPending map[uint64][]byte
 	finalSize   uint64
 	hasFinal    bool
 	readQ       *sim.Queue[[]byte]
@@ -28,7 +30,7 @@ func newStream(c *Conn, id uint64) *Stream {
 	return &Stream{
 		conn:        c,
 		id:          id,
-		recvPending: make(map[uint64]*frame),
+		recvPending: make(map[uint64][]byte),
 		// Static name: the id only matters in deadlock diagnostics, and
 		// formatting it would allocate per stream (= per DNS query).
 		readQ: sim.NewQueue[[]byte](c.w, "quic-stream"),
@@ -76,6 +78,7 @@ func (s *Stream) Write(p []byte, fin bool) error {
 		s.conn.registerEarlyStream(s)
 	}
 	s.conn.sendInSpace(spcApp, frames)
+	s.conn.retireStream(s)
 	return nil
 }
 
@@ -90,6 +93,7 @@ func (s *Stream) replayEarlyData() {
 }
 
 // receive ingests a STREAM frame, delivering in-order data to readers.
+// f.data aliases the packet, so whatever is kept is copied.
 func (s *Stream) receive(f *frame) {
 	if s.done {
 		return
@@ -100,26 +104,25 @@ func (s *Stream) receive(f *frame) {
 		s.hasFinal = true
 	}
 	if f.offset > s.recvNext {
-		s.recvPending[f.offset] = f
+		s.recvPending[f.offset] = append([]byte(nil), f.data...)
 	} else if end > s.recvNext {
 		skip := s.recvNext - f.offset
-		s.push(f.data[skip:])
-	} else if len(f.data) == 0 && f.fin {
-		// FIN-only frame at the current offset.
+		s.push(append([]byte(nil), f.data[skip:]...))
 	}
 	for {
-		nf, ok := s.recvPending[s.recvNext]
+		d, ok := s.recvPending[s.recvNext]
 		if !ok {
 			break
 		}
 		delete(s.recvPending, s.recvNext)
-		s.push(nf.data)
+		s.push(d)
 	}
 	if s.hasFinal && s.recvNext >= s.finalSize {
 		s.readQ.Close()
 	}
 }
 
+// push delivers data, which the stream owns, to readers.
 func (s *Stream) push(data []byte) {
 	s.recvNext += uint64(len(data))
 	if len(data) > 0 {

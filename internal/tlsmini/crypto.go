@@ -218,21 +218,57 @@ func nonceFor(iv []byte, seq uint64) (nonce [12]byte) {
 // aeadOverhead is the GCM tag size added to every protected record.
 const aeadOverhead = 16
 
-// AEADCache memoizes the expanded AES-GCM state (and IV) for one traffic
+// AEADCache memoizes the expanded AES-GCM state (and IV) per traffic
 // secret, so per-record protection skips the two HKDF expansions and the
-// AES key schedule that aeadSeal/aeadOpen pay on every call. The cache
-// re-derives transparently whenever the secret changes (epoch bumps),
-// producing byte-identical records. The zero value is ready to use; a
-// cache belongs to a single connection and is not safe for concurrent
-// use, like the connection itself.
+// AES key schedule that aeadSeal/aeadOpen pay on every call. It keeps one
+// slot per live secret, up to aeadSlots: a QUIC connection interleaves
+// Initial, Handshake, 0-RTT and 1-RTT packets during its handshake, and
+// with a single slot every epoch switch would re-derive the keys. A
+// secret not in the cache derives into a free slot, or replaces the
+// oldest one once all are taken; records are byte-identical either way.
+// The zero value is ready to use; a cache belongs to a single connection
+// and is not safe for concurrent use, like the connection itself.
 type AEADCache struct {
+	slots [aeadSlots]aeadSlot
+	n     int // slots in use
+	next  int // slot replaced by the next derivation once all are in use
+	// nonce is the per-record nonce scratch. Held here rather than on the
+	// stack: passed through the cipher.AEAD interface, a local array
+	// would escape and cost one allocation per record.
+	nonce [12]byte
+	// derivations counts key derivations (HKDF expansions plus AES key
+	// schedule), the work the slots exist to avoid repeating.
+	derivations int
+}
+
+// aeadSlots is one slot per packet-protection epoch: Initial,
+// Handshake, 0-RTT and 1-RTT.
+const aeadSlots = 4
+
+type aeadSlot struct {
 	secret []byte
 	iv     []byte
 	aead   cipher.AEAD
 }
 
-func (c *AEADCache) get(secret []byte) (cipher.AEAD, []byte) {
-	if c.aead == nil || !bytes.Equal(c.secret, secret) {
+// get returns the AEAD for secret and stores the record's nonce in
+// c.nonce.
+func (c *AEADCache) get(secret []byte, seq uint64) cipher.AEAD {
+	var s *aeadSlot
+	for i := 0; i < c.n; i++ {
+		if bytes.Equal(c.slots[i].secret, secret) {
+			s = &c.slots[i]
+			break
+		}
+	}
+	if s == nil {
+		if c.n < aeadSlots {
+			s = &c.slots[c.n]
+			c.n++
+		} else {
+			s = &c.slots[c.next]
+			c.next = (c.next + 1) % aeadSlots
+		}
 		key, iv := trafficKeys(secret)
 		block, err := aes.NewCipher(key)
 		if err != nil {
@@ -242,39 +278,39 @@ func (c *AEADCache) get(secret []byte) (cipher.AEAD, []byte) {
 		if err != nil {
 			panic(err)
 		}
-		c.secret = append(c.secret[:0], secret...)
-		c.aead, c.iv = gcm, iv
+		c.derivations++
+		s.secret = append(s.secret[:0], secret...)
+		s.aead, s.iv = gcm, iv
 	}
-	return c.aead, c.iv
+	c.nonce = nonceFor(s.iv, seq)
+	return s.aead
 }
 
 // Seal is aeadSeal with the key schedule amortized across records.
 func (c *AEADCache) Seal(secret []byte, seq uint64, plaintext, aad []byte) []byte {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Seal(nil, nonce[:], plaintext, aad)
+	aead := c.get(secret, seq)
+	return aead.Seal(nil, c.nonce[:], plaintext, aad)
 }
 
 // Open is aeadOpen with the key schedule amortized across records.
 func (c *AEADCache) Open(secret []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Open(nil, nonce[:], ciphertext, aad)
+	aead := c.get(secret, seq)
+	return aead.Open(nil, c.nonce[:], ciphertext, aad)
 }
 
 // SealAppend appends the sealed record to dst, reusing dst's capacity;
 // callers lease dst from a pool to keep record protection alloc-free.
 func (c *AEADCache) SealAppend(dst, secret []byte, seq uint64, plaintext, aad []byte) []byte {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Seal(dst, nonce[:], plaintext, aad)
+	aead := c.get(secret, seq)
+	return aead.Seal(dst, c.nonce[:], plaintext, aad)
 }
 
-// OpenAppend appends the plaintext to dst, reusing dst's capacity.
+// OpenAppend appends the plaintext to dst, reusing dst's capacity. To
+// decrypt in place, pass ciphertext[:0] as dst (and aad must not overlap
+// ciphertext); a failed open may clobber that region.
 func (c *AEADCache) OpenAppend(dst, secret []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Open(dst, nonce[:], ciphertext, aad)
+	aead := c.get(secret, seq)
+	return aead.Open(dst, c.nonce[:], ciphertext, aad)
 }
 
 // hmacSum computes HMAC-SHA256(key, data).

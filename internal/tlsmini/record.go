@@ -45,6 +45,9 @@ type Conn struct {
 
 	sealer AEADCache
 	opener AEADCache
+	// aad is readRecord's AAD scratch (content type, epoch): a fresh
+	// slice would escape through the AEAD interface on every record.
+	aad [2]byte
 
 	appIn   [][]byte
 	hsDone  bool
@@ -199,8 +202,8 @@ func (c *Conn) readRecord() (ct byte, epoch Epoch, payload []byte, err error) {
 	}
 	seq := c.readSeq[epoch]
 	c.readSeq[epoch] = seq + 1
-	aad := []byte{ct, byte(epoch)}
-	plain, err := c.opener.Open(secret, seq, body, aad)
+	c.aad = [2]byte{ct, byte(epoch)}
+	plain, err := c.opener.Open(secret, seq, body, c.aad[:])
 	if err != nil {
 		return 0, 0, nil, err
 	}

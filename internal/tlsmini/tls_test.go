@@ -334,6 +334,53 @@ func TestAEADRoundTripAndTamper(t *testing.T) {
 	}
 }
 
+// TestAEADCacheSlotPerSecret pins the cache's slot per epoch: sealing
+// alternately under two secrets derives each key exactly once, a fifth
+// live secret replaces the oldest slot, and every record matches the
+// uncached seal byte for byte.
+func TestAEADCacheSlotPerSecret(t *testing.T) {
+	secret := func(b byte) []byte { return bytes.Repeat([]byte{b}, hashLen) }
+	var c AEADCache
+	seal := func(s []byte, seq uint64) []byte {
+		t.Helper()
+		got := c.Seal(s, seq, []byte("record"), []byte("aad"))
+		key, iv := trafficKeys(s)
+		if want := aeadSeal(key, iv, seq, []byte("record"), []byte("aad")); !bytes.Equal(got, want) {
+			t.Fatalf("cached seal under %x differs from uncached", s[:1])
+		}
+		return got
+	}
+	a, b := secret(1), secret(2)
+	for i := uint64(0); i < 10; i++ {
+		if i%2 == 0 {
+			seal(a, i)
+		} else {
+			seal(b, i)
+		}
+	}
+	if c.derivations != 2 {
+		t.Fatalf("alternating two secrets derived %d times, want 2", c.derivations)
+	}
+	for s := byte(3); s <= 5; s++ {
+		seal(secret(s), 0) // 3 and 4 fill the slots; 5 replaces a
+	}
+	seal(b, 0)
+	if c.derivations != 5 {
+		t.Fatalf("after five secrets: %d derivations, want 5", c.derivations)
+	}
+	seal(a, 0)
+	if c.derivations != 6 {
+		t.Fatalf("re-deriving the replaced secret: %d derivations, want 6", c.derivations)
+	}
+
+	// In-place open: the plaintext lands over its own ciphertext.
+	rec := seal(b, 7)
+	pt, err := c.OpenAppend(rec[:0], b, 7, rec, []byte("aad"))
+	if err != nil || string(pt) != "record" || &pt[0] != &rec[0] {
+		t.Fatalf("in-place open: %q, %v", pt, err)
+	}
+}
+
 func TestIdentityChainSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	id := GenerateIdentity(rng, "r.example", 3000)
